@@ -45,7 +45,7 @@ from .krichever import (
 from .linalg import det_field
 from .pfaffian import pfaffian, section_square_check
 from .series import LaurentSeries, exp_floor
-from .symfun import TimePolynomial, tvar
+from .symfun import Partition, TimePolynomial, tvar
 from .tau import (
     baker,
     baker_residual_matrices,
@@ -100,9 +100,11 @@ def _json_value(v):
         return v
     if isinstance(v, Fraction):
         return frac_str(v)
+    if isinstance(v, Partition):
+        return list(v.parts)
     if isinstance(v, (list, tuple)):
         return [_json_value(x) for x in v]
-    return str(v)
+    raise TypeError(f"no JSON form for {type(v).__name__}")
 
 
 # -- command bodies ------------------------------------------------------------

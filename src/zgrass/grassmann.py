@@ -58,6 +58,12 @@ def _is_unit_one(c):
     return terms == {(): Fraction(1)}
 
 
+def _chart_columns(lam, d, n):
+    """Columns d + lam_i - i (i = 1..n) of lam in the charge-d chart."""
+    return tuple(d + (lam[i] if i < len(lam) else 0) - (i + 1)
+                 for i in range(n))
+
+
 class FramePoint:
     def __init__(
         self,
@@ -278,12 +284,8 @@ class FramePoint:
         diagonal.
         """
         lam = Partition(lam)
-        d = self.charge
         n = max(len(lam), len(self.rows))
-        cols = tuple(
-            d + (lam[i] if i < len(lam) else 0) - (i + 1) for i in range(n)
-        )
-        return self.minor(cols)
+        return self.minor(_chart_columns(lam, self.charge, n))
 
     # -- flows ----------------------------------------------------------------
 
@@ -591,15 +593,9 @@ def exchange_defect(u, lam_a, lam_b, slot=0):
     difference, which vanishes identically on every frame.
     """
     lam_a, lam_b = Partition(lam_a), Partition(lam_b)
-    d = u.charge
     n = max(len(lam_a), len(lam_b), len(u.rows), slot + 1)
-
-    def columns(lam):
-        return [
-            d + (lam[i] if i < len(lam) else 0) - (i + 1) for i in range(n)
-        ]
-
-    cs, ct = columns(lam_a), columns(lam_b)
+    cs = _chart_columns(lam_a, u.charge, n)
+    ct = _chart_columns(lam_b, u.charge, n)
     total = u.minor(cs) * u.minor(ct)
     for b in range(n):
         s2, t2 = list(cs), list(ct)

@@ -28,6 +28,7 @@ suite runner records such entries as skipped rather than guessing).
 """
 
 from fractions import Fraction
+from itertools import product
 from typing import NamedTuple
 
 from .errors import UnsoundTruncation, ZgrassError
@@ -49,6 +50,10 @@ FAMILIES = (GR0, P0TRIPLE, CURVE)
 _op_cache = {}
 
 
+def _top(lam):
+    return lam[0] if len(lam) else 0
+
+
 def extraction_operator(lam, e, negate_p=True, fam="t"):
     """sum over beta - alpha = e of p_beta * D_{lam, alpha}, one side negated.
 
@@ -59,8 +64,7 @@ def extraction_operator(lam, e, negate_p=True, fam="t"):
     key = (lam.parts, e, negate_p, fam)
     if key not in _op_cache:
         acc = TimePolynomial()
-        top = lam[0] if len(lam) else 0
-        for alpha in range(max(0, -e), top + 1):
+        for alpha in range(max(0, -e), _top(lam) + 1):
             beta = alpha + e
             p = schur_p(beta, fam)
             d = strip_sum(lam, alpha, fam)
@@ -104,12 +108,64 @@ def _check_sound(tau, needed):
         )
 
 
+# family -> (level total, negate_p of each diagram's slot); the arity of a
+# family is its number of slots
+_SHAPES = {
+    GR0: (1, (True, True)),
+    P0TRIPLE: (2, (False, False, True)),
+    CURVE: (0, (True,)),
+}
+
+
+def _needed_weight(family, lams):
+    """Largest tau weight any term of the constraint touches.
+
+    Slot i extracts at weight |lam_i| + e_i, and e_i is largest when every
+    other slot sits at its lowest level -top_j.
+    """
+    lams = [Partition(x) for x in lams]
+    tops = [_top(x) for x in lams]
+    return max(x.weight + _SHAPES[family][0] + sum(tops) - top
+               for x, top in zip(lams, tops))
+
+
+def _evaluate(family, lams, tau, fam, route):
+    """Sum over level tuples with the family's total of the slot products.
+
+    The first slot's level is even; slot k runs over [-top_k, the level
+    still to place plus the later slots' tops], outside of which some factor
+    vanishes identically; the last slot takes the remaining level.  A zero
+    factor skips every deeper slot.  lams are Partitions within tau's cap.
+    """
+    total, negate = _SHAPES[family]
+    tops = [_top(x) for x in lams]
+    last = len(lams) - 1
+
+    def slot(k, rest):
+        if k == last:
+            return _extract(lams[k], rest, tau, fam, route, negate[k])
+        out = Fraction(0)
+        for e in range(-tops[k], rest + sum(tops[k + 1:]) + 1):
+            if k == 0 and e % 2:
+                continue
+            x = _extract(lams[k], e, tau, fam, route, negate[k])
+            if x:
+                out += x * slot(k + 1, rest - e)
+        return out
+
+    return slot(0, total)
+
+
+def _constraint(family, lams, tau, fam, route):
+    _pure_family(tau, fam)
+    lams = [Partition(x) for x in lams]
+    _check_sound(tau, _needed_weight(family, lams))
+    return _evaluate(family, lams, tau, fam, route)
+
+
 def gr0_needed_weight(lam1, lam2):
     """Largest tau weight any term of the pair constraint touches."""
-    lam1, lam2 = Partition(lam1), Partition(lam2)
-    w1 = lam1.weight + 1 + (lam2[0] if len(lam2) else 0)
-    w2 = lam2.weight + 1 + (lam1[0] if len(lam1) else 0)
-    return max(w1, w2)
+    return _needed_weight(GR0, (lam1, lam2))
 
 
 def gr0_constraint(lam1, lam2, tau, fam="t", route="hall"):
@@ -119,65 +175,25 @@ def gr0_constraint(lam1, lam2, tau, fam="t", route="hall"):
     the p factors negated; e ranges over [-lam1_1, 1 + lam2_1], outside of
     which one factor vanishes identically.
     """
-    lam1, lam2 = Partition(lam1), Partition(lam2)
-    _pure_family(tau, fam)
-    _check_sound(tau, gr0_needed_weight(lam1, lam2))
-    top1 = lam1[0] if len(lam1) else 0
-    top2 = lam2[0] if len(lam2) else 0
-    total = Fraction(0)
-    for e in range(-top1, top2 + 2):
-        if e % 2:
-            continue
-        a = _extract(lam1, e, tau, fam, route, negate_p=True)
-        if not a:
-            continue
-        b = _extract(lam2, 1 - e, tau, fam, route, negate_p=True)
-        total += a * b
-    return total
+    return _constraint(GR0, (lam1, lam2), tau, fam, route)
 
 
 def p0_needed_weight(lam1, lam2, lam3):
-    lams = [Partition(x) for x in (lam1, lam2, lam3)]
-    tops = [(x[0] if len(x) else 0) for x in lams]
-    return max(
-        lams[i].weight + 2 + tops[j] + tops[k]
-        for i, j, k in ((0, 1, 2), (1, 0, 2), (2, 0, 1))
-    )
+    return _needed_weight(P0TRIPLE, (lam1, lam2, lam3))
 
 
-def p0_triple_constraint(lam1, lam2, lam3, tau, fam="t", route="hall",
-                         sign_variant=False):
+def p0_triple_constraint(lam1, lam2, lam3, tau, fam="t", route="hall"):
     """Cubic constraint of the diagram triple on tau.
 
     Sum over level triples (e1, e2, e3) with e1 + e2 + e3 = 2 and e1 even.
     The first two slots negate the strip factor and the third negates the p
-    factor; sign_variant=True evaluates the mirrored placement instead, as a
-    diagnostic for comparing the two printed sign conventions.
+    factor.
     """
-    lams = [Partition(x) for x in (lam1, lam2, lam3)]
-    _pure_family(tau, fam)
-    _check_sound(tau, p0_needed_weight(*lams))
-    tops = [(x[0] if len(x) else 0) for x in lams]
-    head = not sign_variant
-    total = Fraction(0)
-    for e1 in range(-tops[0], 2 + tops[1] + tops[2] + 1):
-        if e1 % 2:
-            continue
-        a = _extract(lams[0], e1, tau, fam, route, negate_p=not head)
-        if not a:
-            continue
-        for e2 in range(-tops[1], 2 - e1 + tops[2] + 1):
-            b = _extract(lams[1], e2, tau, fam, route, negate_p=not head)
-            if not b:
-                continue
-            c = _extract(lams[2], 2 - e1 - e2, tau, fam, route,
-                         negate_p=head)
-            total += a * b * c
-    return total
+    return _constraint(P0TRIPLE, (lam1, lam2, lam3), tau, fam, route)
 
 
 def curve_needed_weight(lam):
-    return Partition(lam).weight
+    return _needed_weight(CURVE, (lam,))
 
 
 def curve_constraint(lam, tau, fam="t", route="hall"):
@@ -186,10 +202,7 @@ def curve_constraint(lam, tau, fam="t", route="hall"):
     Zero for every diagram exactly when the point's subspace is closed under
     multiplication by its own ring of functions.
     """
-    lam = Partition(lam)
-    _pure_family(tau, fam)
-    _check_sound(tau, curve_needed_weight(lam))
-    return _extract(lam, 0, tau, fam, route, negate_p=True)
+    return _constraint(CURVE, (lam,), tau, fam, route)
 
 
 class SuiteEntry(NamedTuple):
@@ -198,15 +211,6 @@ class SuiteEntry(NamedTuple):
     value: Fraction | None
     needed: int
     status: str  # "zero" | "nonzero" | "unsound"
-
-
-def _entry(family, diagrams, fn, needed):
-    try:
-        v = fn()
-    except UnsoundTruncation:
-        return SuiteEntry(family, diagrams, None, needed, "unsound")
-    return SuiteEntry(family, diagrams, v, needed,
-                      "zero" if v == 0 else "nonzero")
 
 
 def constraint_suite(tau, maxsize, families=FAMILIES, fam="t", route="hall"):
@@ -218,32 +222,21 @@ def constraint_suite(tau, maxsize, families=FAMILIES, fam="t", route="hall"):
     than the cap; values are never approximated.
     """
     lams = partitions_upto(maxsize)
+    _pure_family(tau, fam)
     out = []
-    if GR0 in families:
-        for l1 in lams:
-            for l2 in lams:
-                out.append(_entry(
-                    GR0, (l1, l2),
-                    lambda a=l1, b=l2: gr0_constraint(a, b, tau, fam, route),
-                    gr0_needed_weight(l1, l2),
-                ))
-    if P0TRIPLE in families:
-        for l1 in lams:
-            for l2 in lams:
-                for l3 in lams:
-                    out.append(_entry(
-                        P0TRIPLE, (l1, l2, l3),
-                        lambda a=l1, b=l2, c=l3: p0_triple_constraint(
-                            a, b, c, tau, fam, route),
-                        p0_needed_weight(l1, l2, l3),
-                    ))
-    if CURVE in families:
-        for l1 in lams:
-            out.append(_entry(
-                CURVE, (l1,),
-                lambda a=l1: curve_constraint(a, tau, fam, route),
-                curve_needed_weight(l1),
-            ))
+    for family in FAMILIES:
+        if family not in families:
+            continue
+        for diagrams in product(lams, repeat=len(_SHAPES[family][1])):
+            needed = _needed_weight(family, diagrams)
+            try:
+                _check_sound(tau, needed)
+                v = _evaluate(family, diagrams, tau, fam, route)
+            except UnsoundTruncation:
+                v = None
+            status = ("unsound" if v is None
+                      else "zero" if v == 0 else "nonzero")
+            out.append(SuiteEntry(family, diagrams, v, needed, status))
     return out
 
 

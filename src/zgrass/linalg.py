@@ -7,6 +7,7 @@ sizes stay small (a few dozen rows at most) and exactness is the point.
 from fractions import Fraction
 
 from .errors import ZgrassError
+from .series import _inv_coeff
 
 
 def det_field(rows):
@@ -66,12 +67,6 @@ def det_ring(rows):
     return go(tuple(range(n)))
 
 
-def _inv_unit(x):
-    if isinstance(x, Fraction):
-        return Fraction(1) / x
-    return x.inverse_unit()
-
-
 def det_unit(rows):
     """Gaussian determinant for rings where every pivot found is a unit.
 
@@ -101,7 +96,7 @@ def det_unit(rows):
             a[col], a[piv] = a[piv], a[col]
             det = -det
         p = a[col][col]
-        pinv = _inv_unit(p)
+        pinv = _inv_coeff(p)
         det = det * p
         for r in range(col + 1, n):
             if a[r][col]:

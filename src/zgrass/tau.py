@@ -31,6 +31,7 @@ from .symfun import (
     schur,
     schur_p,
     sqrt_series,
+    tconst,
 )
 
 
@@ -91,9 +92,15 @@ def times_flow(cap, floor, fam="t"):
 
 
 def tau_flow_consistency(u, cap, fam="t"):
-    """(vacuum minor after the universal flow, capped tau) -- should agree."""
-    moved = u.flow(times_flow(cap, u.window[0], fam))
-    return moved.plucker(()), tau_function(u, fam, cap=cap)
+    """(vacuum minor after the universal flow, capped tau) -- should agree.
+
+    A rational minor is lifted into the capped ring, so both sides compare
+    as polynomials known through the same weight.
+    """
+    minor = u.flow(times_flow(cap, u.window[0], fam)).plucker(())
+    if not isinstance(minor, TimePolynomial):
+        minor = tconst(minor).with_cap(cap)
+    return minor, tau_function(u, fam, cap=cap)
 
 
 def odd_part(tau, fam="t"):

@@ -1,11 +1,15 @@
 """End-to-end checks of the command line tool and its JSON codecs."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import zgrass
+from zgrass import __version__
 from zgrass.cli import main
 from zgrass.errors import ParseError
 from zgrass.io import frac_str, mono_str, parse_frac, series_from_json
@@ -102,6 +106,14 @@ class TestReports:
         assert rep["report"]["tau"]["terms"] == {"t1": "1/1"}
         assert "flow-consistency" in names(rep, "pass")
 
+    def test_tau_ring_point_of_negative_charge(self, tmp_path, capsys):
+        ring = {"kind": "point", "gens": [{"0": "1"}, {"-3": "1"}, {"-4": "1"}],
+                "tail": 5, "window": [-24, 24]}
+        code, rep = run(tmp_path, ring, "tau", capsys=capsys)
+        assert code == 0
+        assert rep["report"]["charge"] == -2
+        assert "flow-consistency" in names(rep, "pass")
+
     def test_deterministic_output(self, tmp_path, capsys):
         _, first = run(tmp_path, CUSP, "tau", capsys=capsys)
         _, second = run(tmp_path, CUSP, "tau", capsys=capsys)
@@ -144,6 +156,60 @@ class TestHierarchyCommand:
         assert code == 1 and not rep["ok"]
         assert rep["report"]["verdicts"]["GR0"]["verdict"] == "fail"
         assert rep["report"]["verdicts"]["GR0"]["failures"]
+
+
+    def test_pencil_report_pinned(self, tmp_path, capsys):
+        code, rep = run(tmp_path, PENCIL, "hierarchy", "--maxsize", "1",
+                        capsys=capsys)
+        assert code == 1
+
+        def entry(family, diagrams, needed, value):
+            return {"diagrams": diagrams, "family": family, "needed": needed,
+                    "status": "zero" if value == "0/1" else "nonzero",
+                    "value": value}
+
+        def verdict(checked, failure):
+            return {"checked": checked, "failures": [failure], "skipped": 0,
+                    "verdict": "fail"}
+
+        def check(family, checked):
+            return {"detail": f"{checked} constraints checked, 1 shown of "
+                              "any failures",
+                    "name": f"suite-{family}", "status": "fail"}
+
+        assert rep == {
+            "checks": [check("GR0", 4), check("P0TRIPLE", 8),
+                       check("CURVE", 2)],
+            "command": "hierarchy",
+            "config": {"maxsize": 1, "strict": False, "weight": 8,
+                       "window": 32},
+            "ok": False,
+            "report": {
+                "suite": [
+                    entry("GR0", [[], []], 1, "-1/1"),
+                    entry("GR0", [[], [1]], 2, "0/1"),
+                    entry("GR0", [[1], []], 2, "0/1"),
+                    entry("GR0", [[1], [1]], 3, "0/1"),
+                    entry("P0TRIPLE", [[], [], []], 2, "-1/1"),
+                    entry("P0TRIPLE", [[], [], [1]], 3, "0/1"),
+                    entry("P0TRIPLE", [[], [1], []], 3, "0/1"),
+                    entry("P0TRIPLE", [[], [1], [1]], 4, "0/1"),
+                    entry("P0TRIPLE", [[1], [], []], 3, "0/1"),
+                    entry("P0TRIPLE", [[1], [], [1]], 4, "0/1"),
+                    entry("P0TRIPLE", [[1], [1], []], 4, "0/1"),
+                    entry("P0TRIPLE", [[1], [1], [1]], 5, "0/1"),
+                    entry("CURVE", [[]], 0, "1/1"),
+                    entry("CURVE", [[1]], 1, "0/1"),
+                ],
+                "verdicts": {
+                    "CURVE": verdict(2, [[[]], "1/1"]),
+                    "GR0": verdict(4, [[[], []], "-1/1"]),
+                    "P0TRIPLE": verdict(8, [[[], [], []], "-1/1"]),
+                },
+            },
+            "tool": "zgrass",
+            "version": __version__,
+        }
 
 
 class TestOrbitCommand:
@@ -221,8 +287,12 @@ class TestFamilySquare:
 
 
 def test_console_entry():
+    # the child imports zgrass from wherever this process found it, so the
+    # test also runs from a checkout without an install
+    src = str(Path(zgrass.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "zgrass.cli", "--version"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout.strip() == "zgrass 0.1.0"

@@ -1,9 +1,12 @@
 """Constraint family oracles and cross-route checks."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from zgrass import FramePoint, LaurentSeries
 from zgrass.errors import UnsoundTruncation, ZgrassError
 from zgrass.hierarchy import (
     CURVE,
@@ -19,6 +22,9 @@ from zgrass.hierarchy import (
     suite_verdict,
 )
 from zgrass.symfun import hall, schur, tconst, tvar
+from zgrass.tau import tau_function
+
+DATA = Path(__file__).parent / "data"
 
 
 def cusp_tau():
@@ -33,6 +39,22 @@ def pencil_tau():
 def two_row_tau():
     return (tconst(1) + schur((2,)) * 2 + schur((1, 1)) * (-3)
             + schur((2, 2)) * 6)
+
+
+def frame_tau(gens, tail):
+    u = FramePoint.from_gens([LaurentSeries(g) for g in gens], tail, (-12, 12))
+    return tau_function(u)
+
+
+def three_row_tau():
+    return frame_tau(
+        [{-3: 1, 1: 2, 2: -1}, {-2: 1, 0: 3, 3: 1}, {-1: 1, 2: 1}], 3)
+
+
+def suite_rows(entries):
+    return [[e.family, [list(d.parts) for d in e.diagrams],
+             None if e.value is None else str(e.value), e.needed, e.status]
+            for e in entries]
 
 
 class TestExtractionOperator:
@@ -133,11 +155,6 @@ class TestP0Triple:
     def test_needed_weight(self):
         assert p0_needed_weight((), (), ()) == 2
         assert p0_needed_weight((1,), (2,), ()) == 5
-
-    def test_sign_variant_runs(self):
-        v = p0_triple_constraint((), (), (), pencil_tau(),
-                                 sign_variant=True)
-        assert v == -1
 
     def test_unsound_raises(self):
         with pytest.raises(UnsoundTruncation):
@@ -241,3 +258,32 @@ class TestSuite:
                 assert e.value is None
             else:
                 assert isinstance(e.value, Fraction)
+
+
+class TestSuiteCharacterization:
+    """Whole suites pinned entry by entry.
+
+    The rows of suite_three_row.json were recorded from constraint_suite on
+    the three-row point, exact and capped at weight 5, in the suite_rows
+    format; a change to any value, bound or status shows up as a row diff.
+    """
+
+    @pytest.fixture(scope="class")
+    def pinned(self):
+        return json.loads((DATA / "suite_three_row.json").read_text())
+
+    def test_exact_three_row_point(self, pinned):
+        rows = suite_rows(constraint_suite(three_row_tau(), 3))
+        assert rows == pinned["exact"]
+
+    def test_capped_three_row_point(self, pinned):
+        rows = suite_rows(constraint_suite(three_row_tau().with_cap(5), 3))
+        assert rows == pinned["cap5"]
+        assert len(rows) == 399
+        assert sum(r[4] == "unsound" for r in rows) == 321
+
+    def test_routes_agree_on_whole_suite(self):
+        t = frame_tau([{-2: 1, 0: 3, 3: 1}, {-1: 1, 2: 1}], 2)
+        hall_rows = constraint_suite(t, 2)
+        assert any(e.status == "nonzero" for e in hall_rows)
+        assert constraint_suite(t, 2, route="diff") == hall_rows

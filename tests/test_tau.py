@@ -139,6 +139,18 @@ class TestFlowConsistency:
         got, want = tau_flow_consistency(u, 4)
         assert got == want
 
+    def test_scalar_minor_on_ring_point(self):
+        # the <3,4> semigroup point has charge -2: tau starts at weight 5,
+        # so through weight 4 both sides are the zero of the capped ring
+        u = FramePoint.from_gens(
+            [series({0: 1}), series({-3: 1}), series({-4: 1})], 5, window=W
+        )
+        got, want = tau_flow_consistency(u, 4)
+        assert isinstance(got, TimePolynomial) and got.maxweight == 4
+        assert got == want
+        assert got != want + tvar(4).with_cap(4)
+        assert got != tconst(1).with_cap(4)
+
     def test_second_family(self):
         got, want = tau_flow_consistency(point_a(Fraction(1, 2)), 2, fam="s")
         assert got == want

@@ -22,9 +22,18 @@ orthogonality pairing of the monomial basis ("hall") or by literally
 applying the operator as scaled derivatives and reading the constant term
 ("diff"); the two routes agree identically and serve as mutual oracles.
 
+Each call -- a whole suite or one standalone constraint -- builds one
+extraction table for its tau.  Every extraction (lam, e, negate_p) is paired
+at most once and read by each constraint that needs it, so GR0, P0TRIPLE and
+CURVE are sums of products of table entries.  The P0TRIPLE inner sum over e2
+is kept per (lam2, lam3, level) as a convolution of two table rows, so each
+triple costs one short sum over even e1.  The table fills on first use and
+is dropped when the call returns.
+
 For a weight-capped tau a constraint is evaluated only when every extraction
 it needs lies within the cap; otherwise it raises UnsoundTruncation (the
-suite runner records such entries as skipped rather than guessing).
+suite runner records such entries as skipped rather than guessing).  Since
+the table fills lazily, nothing beyond a sound constraint's needs is paired.
 """
 
 from fractions import Fraction
@@ -86,21 +95,6 @@ def _pure_family(tau, fam):
                 )
 
 
-def _pair(op, tau, route):
-    if route == "hall":
-        return hall(op, tau)
-    if route == "diff":
-        return apply_tilde(op, tau).constant_term()
-    raise ZgrassError(f"unknown evaluation route {route!r}")
-
-
-def _extract(lam, e, tau, fam, route, negate_p):
-    op = extraction_operator(lam, e, negate_p, fam)
-    if not op:
-        return Fraction(0)
-    return _pair(op, tau, route)
-
-
 def _check_sound(tau, needed):
     if tau.maxweight is not None and needed > tau.maxweight:
         raise UnsoundTruncation(
@@ -117,55 +111,112 @@ _SHAPES = {
 }
 
 
-def _needed_weight(family, lams):
+class _Diagram(NamedTuple):
+    parts: tuple
+    weight: int
+    top: int
+
+
+def _diagrams(lams):
+    out = []
+    for lam in lams:
+        parts = Partition(lam).parts
+        out.append(_Diagram(parts, sum(parts), _top(parts)))
+    return out
+
+
+def _needed_weight(family, ds):
     """Largest tau weight any term of the constraint touches.
 
     Slot i extracts at weight |lam_i| + e_i, and e_i is largest when every
     other slot sits at its lowest level -top_j.
     """
-    lams = [Partition(x) for x in lams]
-    tops = [_top(x) for x in lams]
-    return max(x.weight + _SHAPES[family][0] + sum(tops) - top
-               for x, top in zip(lams, tops))
+    tops = sum(d.top for d in ds)
+    return max(d.weight + _SHAPES[family][0] + tops - d.top for d in ds)
 
 
-def _evaluate(family, lams, tau, fam, route):
-    """Sum over level tuples with the family's total of the slot products.
+class _Table:
+    """Extraction values of one tau, each paired at most once.
 
-    The first slot's level is even; slot k runs over [-top_k, the level
-    still to place plus the later slots' tops], outside of which some factor
-    vanishes identically; the last slot takes the remaining level.  A zero
-    factor skips every deeper slot.  lams are Partitions within tau's cap.
+    values maps (diagram parts, level, negate_p) to the pairing of that
+    extraction operator with tau; tails maps (family, slot, level, parts of
+    the diagrams from that slot on) to the sum over the later slots, so a
+    P0TRIPLE inner sum over e2 is one convolution per (lam2, lam3, level).
+    Both fill on first use, so a capped tau is never paired beyond what a
+    sound constraint asks for.
     """
-    total, negate = _SHAPES[family]
-    tops = [_top(x) for x in lams]
-    last = len(lams) - 1
 
-    def slot(k, rest):
-        if k == last:
-            return _extract(lams[k], rest, tau, fam, route, negate[k])
-        out = Fraction(0)
-        for e in range(-tops[k], rest + sum(tops[k + 1:]) + 1):
-            if k == 0 and e % 2:
-                continue
-            x = _extract(lams[k], e, tau, fam, route, negate[k])
-            if x:
-                out += x * slot(k + 1, rest - e)
-        return out
+    def __init__(self, tau, fam, route):
+        if route not in ("hall", "diff"):
+            raise ZgrassError(f"unknown evaluation route {route!r}")
+        _pure_family(tau, fam)
+        self.tau = tau
+        self.fam = fam
+        self.route = route
+        self.values = {}
+        self.tails = {}
 
-    return slot(0, total)
+    def extract(self, parts, e, negate_p):
+        key = (parts, e, negate_p)
+        v = self.values.get(key)
+        if v is None:
+            op = extraction_operator(parts, e, negate_p, self.fam)
+            if not op:
+                v = Fraction(0)
+            elif self.route == "hall":
+                v = hall(op, self.tau)
+            else:
+                v = apply_tilde(op, self.tau).constant_term()
+            self.values[key] = v
+        return v
+
+
+def _evaluate(family, ds, table, k=0, rest=None):
+    """Sum of the slot products over the levels of slots k.. that add up to
+    rest, by default the family's level total; ds lie within tau's cap.
+
+    Slot k runs over [-top_k, rest plus the later slots' tops], outside of
+    which some factor vanishes identically; the first slot's level is even
+    and the last slot takes the remaining level.  A zero factor skips every
+    deeper slot.  The sums over the slots after the first are kept in
+    table.tails, so each is formed once per call.
+    """
+    negate = _SHAPES[family][1]
+    if rest is None:
+        rest = _SHAPES[family][0]
+    d = ds[k]
+    if k == len(ds) - 1:
+        return table.extract(d.parts, rest, negate[k])
+    if k:
+        key = (family, k, rest) + tuple(x.parts for x in ds[k:])
+        out = table.tails.get(key)
+        if out is not None:
+            return out
+    lo = -d.top
+    step = 1
+    if k == 0:
+        lo += lo % 2
+        step = 2
+    out = Fraction(0)
+    for e in range(lo, rest + sum(x.top for x in ds[k + 1:]) + 1, step):
+        x = table.extract(d.parts, e, negate[k])
+        if x:
+            out += x * _evaluate(family, ds, table, k + 1, rest - e)
+    if k:
+        table.tails[key] = out
+    return out
 
 
 def _constraint(family, lams, tau, fam, route):
-    _pure_family(tau, fam)
-    lams = [Partition(x) for x in lams]
-    _check_sound(tau, _needed_weight(family, lams))
-    return _evaluate(family, lams, tau, fam, route)
+    table = _Table(tau, fam, route)
+    ds = _diagrams(lams)
+    _check_sound(tau, _needed_weight(family, ds))
+    return _evaluate(family, ds, table)
 
 
 def gr0_needed_weight(lam1, lam2):
     """Largest tau weight any term of the pair constraint touches."""
-    return _needed_weight(GR0, (lam1, lam2))
+    return _needed_weight(GR0, _diagrams((lam1, lam2)))
 
 
 def gr0_constraint(lam1, lam2, tau, fam="t", route="hall"):
@@ -179,7 +230,7 @@ def gr0_constraint(lam1, lam2, tau, fam="t", route="hall"):
 
 
 def p0_needed_weight(lam1, lam2, lam3):
-    return _needed_weight(P0TRIPLE, (lam1, lam2, lam3))
+    return _needed_weight(P0TRIPLE, _diagrams((lam1, lam2, lam3)))
 
 
 def p0_triple_constraint(lam1, lam2, lam3, tau, fam="t", route="hall"):
@@ -193,7 +244,7 @@ def p0_triple_constraint(lam1, lam2, lam3, tau, fam="t", route="hall"):
 
 
 def curve_needed_weight(lam):
-    return _needed_weight(CURVE, (lam,))
+    return _needed_weight(CURVE, _diagrams((lam,)))
 
 
 def curve_constraint(lam, tau, fam="t", route="hall"):
@@ -222,18 +273,20 @@ def constraint_suite(tau, maxsize, families=FAMILIES, fam="t", route="hall"):
     than the cap; values are never approximated.
     """
     lams = partitions_upto(maxsize)
-    _pure_family(tau, fam)
+    ds = _diagrams(lams)
+    table = _Table(tau, fam, route)
     out = []
     for family in FAMILIES:
         if family not in families:
             continue
-        for diagrams in product(lams, repeat=len(_SHAPES[family][1])):
-            needed = _needed_weight(family, diagrams)
-            try:
-                _check_sound(tau, needed)
-                v = _evaluate(family, diagrams, tau, fam, route)
-            except UnsoundTruncation:
+        arity = len(_SHAPES[family][1])
+        for diagrams, picked in zip(product(lams, repeat=arity),
+                                    product(ds, repeat=arity)):
+            needed = _needed_weight(family, picked)
+            if tau.maxweight is not None and needed > tau.maxweight:
                 v = None
+            else:
+                v = _evaluate(family, picked, table)
             status = ("unsound" if v is None
                       else "zero" if v == 0 else "nonzero")
             out.append(SuiteEntry(family, diagrams, v, needed, status))

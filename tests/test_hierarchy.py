@@ -5,9 +5,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from zgrass import FramePoint, LaurentSeries
-from zgrass.errors import UnsoundTruncation, ZgrassError
+from zgrass import FramePoint, LaurentSeries, hierarchy
+from zgrass.errors import DependentGenerators, UnsoundTruncation, ZgrassError
 from zgrass.hierarchy import (
     CURVE,
     GR0,
@@ -208,6 +209,13 @@ class TestDualRoutes:
     def test_bad_route_rejected(self):
         with pytest.raises(ZgrassError):
             gr0_constraint((), (), tconst(1), route="newton")
+        # neither call pairs anything: every entry is beyond the cap, and
+        # the box diagram's level-0 extraction is identically zero
+        with pytest.raises(ZgrassError):
+            constraint_suite(two_row_tau().with_cap(0), 2,
+                             families=(GR0, P0TRIPLE), route="bogus")
+        with pytest.raises(ZgrassError):
+            curve_constraint((1,), two_row_tau(), route="bogus")
 
 
 class TestSuite:
@@ -259,6 +267,40 @@ class TestSuite:
             else:
                 assert isinstance(e.value, Fraction)
 
+    def test_capped_suite_never_pairs_past_cap(self):
+        # hall raises InsufficientPrecision on an extraction above the cap,
+        # so any pairing a sound entry does not need would escape here
+        t = three_row_tau()
+        exact = constraint_suite(t, 3)
+        for cap in range(7):
+            capped = constraint_suite(t.with_cap(cap), 3)
+            assert len(capped) == len(exact)
+            for c, e in zip(capped, exact):
+                assert (c.family, c.diagrams, c.needed) == (
+                    e.family, e.diagrams, e.needed)
+                if c.needed > cap:
+                    assert c.status == "unsound" and c.value is None
+                else:
+                    assert c == e
+
+    def test_each_extraction_paired_once(self, monkeypatch):
+        ops, pairs = [], []
+
+        def counting_extraction(*args):
+            ops.append(args)
+            return extraction_operator(*args)
+
+        def counting_hall(op, tau):
+            pairs.append((op, tau))
+            return hall(op, tau)
+
+        monkeypatch.setattr(hierarchy, "extraction_operator",
+                            counting_extraction)
+        monkeypatch.setattr(hierarchy, "hall", counting_hall)
+        constraint_suite(three_row_tau(), 4)
+        assert len(ops) == len(set(ops)) == 308
+        assert len(pairs) == len({(id(a), id(b)) for a, b in pairs}) == 264
+
 
 class TestSuiteCharacterization:
     """Whole suites pinned entry by entry.
@@ -284,6 +326,30 @@ class TestSuiteCharacterization:
 
     def test_routes_agree_on_whole_suite(self):
         t = frame_tau([{-2: 1, 0: 3, 3: 1}, {-1: 1, 2: 1}], 2)
-        hall_rows = constraint_suite(t, 2)
+        hall_rows = constraint_suite(t, 3)
         assert any(e.status == "nonzero" for e in hall_rows)
-        assert constraint_suite(t, 2, route="diff") == hall_rows
+        assert constraint_suite(t, 3, route="diff") == hall_rows
+
+
+@st.composite
+def small_frames(draw):
+    """1-2 rows over tail 1-3, every exponent at most 3."""
+    tail = draw(st.integers(1, 3))
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        lo = draw(st.integers(-tail, 0))
+        coeffs = {e: draw(st.integers(-3, 3)) for e in range(lo + 1, 4)
+                  if draw(st.booleans())}
+        coeffs[lo] = draw(st.integers(1, 3))
+        gens.append(LaurentSeries(coeffs))
+    try:
+        return FramePoint.from_gens(gens, tail, (-12, 12))
+    except DependentGenerators:
+        return FramePoint.from_gens(gens[:1], tail, (-12, 12))
+
+
+@settings(max_examples=12, deadline=5000)
+@given(small_frames())
+def test_routes_agree_on_random_frames(u):
+    t = tau_function(u)
+    assert constraint_suite(t, 2, route="diff") == constraint_suite(t, 2)

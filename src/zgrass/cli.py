@@ -263,6 +263,8 @@ def cmd_hierarchy(obj, args):
 
 
 def cmd_orbit(obj, args):
+    if args.nmax < 1:
+        raise ParseError(f"--nmax must be at least 1, got {args.nmax}")
     if obj["kind"] == "curve":
         data, win = curve_from_json(obj, _win(args))
         u = span_closure(data, win)

@@ -237,15 +237,23 @@ def orbit_profile(u, nmax=12, odd_only=False):
     away.  The profile of a ring point stabilizes at the number of gaps of
     its pole semigroup; the verdict is "stable" after three equal trailing
     values and never extrapolates beyond nmax.
+
+    Every level is read off the one level-nmax stabilizer.  Both levels
+    solve the exact condition f U inside U, each on its own window (the
+    extra tail targets at nmax only constrain exponents above n), so the
+    level-n stabilizer is the level-nmax one cut down to z^-n..z^n, and
+    its overlap with the flows is the level-nmax stabilizer's overlap.
     """
+    if nmax < 1:
+        raise ZgrassError(f"nmax must be at least 1, got {nmax}")
+    stab = stabilizer(u, nmax)
     dims = []
     for n in range(1, nmax + 1):
-        stab = stabilizer(u, n)
         flows = [i for i in range(1, n + 1) if not (odd_only and i % 2 == 0)]
         keep = {-i for i in flows}
         crows = [
             [s.coeffs.get(e, Fraction(0)) for s in stab]
-            for e in range(-n, n + 1)
+            for e in range(-nmax, nmax + 1)
             if e not in keep
         ]
         overlap = len(nullspace(crows, len(stab))) if stab else 0

@@ -1,9 +1,13 @@
-"""Small dense exact linear algebra over Fraction and over coefficient rings.
+"""Small exact linear algebra over Fraction and over coefficient rings.
 
-Matrices are plain lists of lists.  Nothing here is asymptotically clever;
-sizes stay small (a few dozen rows at most) and exactness is the point.
+Matrices are plain lists of lists.  The determinants eliminate densely (or
+expand, over rings without division); rref reduces one row at a time
+against a sparse echelon basis, since the constraint systems it solves have
+many more rows than rank.  Sizes stay small (a few dozen rows at most) and
+exactness is the point.
 """
 
+from bisect import insort
 from fractions import Fraction
 
 from .errors import ZgrassError
@@ -11,7 +15,8 @@ from .series import _inv_coeff
 
 
 def det_field(rows):
-    """Determinant by fraction-free-ish Gaussian elimination over Fraction."""
+    """Determinant by Gaussian elimination over Fraction, dividing by each
+    pivot; the determinant is the signed product of the pivots."""
     n = len(rows)
     if n == 0:
         return Fraction(1)
@@ -107,28 +112,53 @@ def det_unit(rows):
 
 
 def rref(rows, ncols=None):
-    """Reduced row echelon form over Fraction.  Returns (matrix, pivot_cols)."""
-    a = [list(map(Fraction, r)) for r in rows]
+    """Reduced row echelon form over Fraction.  Returns (matrix, pivot_cols).
+
+    Rows are reduced one at a time against a sparse echelon basis, a dict
+    from pivot column to row; a dependent row drops out, and the pass stops
+    once every column has a pivot.  Back-substitution then clears each
+    pivot column above its pivot.  The matrix keeps the input's row count:
+    the pivot rows in column order, then zero rows.
+    """
+    width = len(rows[0]) if rows else 0
     if ncols is None:
-        ncols = len(a[0]) if a else 0
+        ncols = width
+    basis = {}
     pivots = []
-    row = 0
-    for col in range(ncols):
-        piv = next((r for r in range(row, len(a)) if a[r][col]), None)
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        p = a[row][col]
-        a[row] = [x / p for x in a[row]]
-        for r in range(len(a)):
-            if r != row and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
-        pivots.append(col)
-        row += 1
-        if row == len(a):
+    for r in rows:
+        if len(pivots) == ncols:
             break
+        v = {c: Fraction(x) for c, x in enumerate(r) if x}
+        for p in pivots:
+            f = v.get(p)
+            if f:
+                _axpy(v, -f, basis[p])
+        lead = min((c for c in v if c < ncols), default=None)
+        if lead is None:
+            continue
+        inv = 1 / v[lead]
+        basis[lead] = {c: x * inv for c, x in v.items()}
+        insort(pivots, lead)
+    for i in range(len(pivots) - 2, -1, -1):
+        row = basis[pivots[i]]
+        for q in pivots[i + 1 :]:
+            f = row.get(q)
+            if f:
+                _axpy(row, -f, basis[q])
+    zero = Fraction(0)
+    a = [[basis[p].get(c, zero) for c in range(width)] for p in pivots]
+    a += [[zero] * width for _ in range(len(rows) - len(pivots))]
     return a, pivots
+
+
+def _axpy(v, f, w):
+    """v += f * w on sparse rows, dropping the entries that cancel."""
+    for c, x in w.items():
+        y = v.get(c, 0) + f * x
+        if y:
+            v[c] = y
+        else:
+            del v[c]
 
 
 def nullspace(rows, ncols):

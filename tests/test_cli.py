@@ -230,6 +230,13 @@ class TestOrbitCommand:
                       capsys=capsys)
         assert code == 1
 
+    def test_nmax_below_one_is_an_error(self, tmp_path, capsys):
+        for nmax in ("0", "-3"):
+            code, rep = run(tmp_path, CURVE, "orbit", "--nmax", nmax,
+                            capsys=capsys)
+            assert code == 2
+            assert rep["error"].startswith("ParseError")
+
 
 class TestPfaffianCommand:
     def test_alternating(self, tmp_path, capsys):

@@ -3,8 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from zgrass import krichever
 from zgrass.errors import (
+    DependentGenerators,
     NotClosed,
     NotInvolution,
     NotNormalizable,
@@ -16,6 +20,7 @@ from zgrass.errors import (
 from zgrass.grassmann import FramePoint
 from zgrass.krichever import (
     CurveData,
+    OrbitProfile,
     is_ring_point,
     normalize_involution,
     orbit_profile,
@@ -24,6 +29,7 @@ from zgrass.krichever import (
     span_closure,
     stabilizer,
 )
+from zgrass.linalg import nullspace
 from zgrass.series import LaurentSeries, sigma0
 
 W = (-8, 8)
@@ -202,6 +208,100 @@ class TestOrbitProfile:
             prof = orbit_profile(u, 8)
             assert prof.verdict == "stable"
             assert prof.value == genus
+
+    def test_nmax_below_one_rejected(self):
+        for nmax in (0, -3):
+            with pytest.raises(ZgrassError):
+                orbit_profile(cusp(), nmax)
+
+
+def level_by_level_profile(u, nmax, odd_only):
+    """orbit_profile with one stabilizer solve per level, as it was before
+    every level was read off the level-nmax stabilizer; kept as an oracle."""
+    dims = []
+    for n in range(1, nmax + 1):
+        stab = stabilizer(u, n)
+        flows = [i for i in range(1, n + 1) if not (odd_only and i % 2 == 0)]
+        keep = {-i for i in flows}
+        crows = [
+            [s.coeffs.get(e, Fraction(0)) for s in stab]
+            for e in range(-n, n + 1)
+            if e not in keep
+        ]
+        overlap = len(nullspace(crows, len(stab))) if stab else 0
+        dims.append(len(flows) - overlap)
+    stable = len(dims) >= 3 and dims[-1] == dims[-2] == dims[-3]
+    return OrbitProfile(
+        tuple(dims),
+        "stable" if stable else "inconclusive",
+        dims[-1] if stable else None,
+    )
+
+
+@st.composite
+def small_exact_points(draw):
+    tail = draw(st.integers(1, 3))
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        lo = draw(st.integers(-tail, 0))
+        coeffs = {lo + k: draw(st.integers(-3, 3))
+                  for k in range(draw(st.integers(0, 3)) + 1)}
+        coeffs[lo] = draw(st.integers(1, 3))
+        gens.append(LaurentSeries(coeffs))
+    try:
+        return FramePoint.from_gens(gens, tail, W)
+    except DependentGenerators:
+        return FramePoint.from_gens(gens[:1], tail, W)
+
+
+SEMIGROUP_CURVES = [
+    span_closure([mono(-g) for g in ring], W)
+    for ring in ((2, 3), (2, 5), (3, 4, 5))
+]
+
+
+class TestOrbitProfileOracle:
+    @settings(max_examples=40)
+    @given(
+        st.one_of(small_exact_points(), st.sampled_from(SEMIGROUP_CURVES)),
+        st.integers(1, 8),
+        st.booleans(),
+    )
+    def test_matches_level_by_level(self, u, nmax, odd_only):
+        assert orbit_profile(u, nmax, odd_only) == level_by_level_profile(
+            u, nmax, odd_only
+        )
+
+    @pytest.mark.parametrize("odd_only", [False, True])
+    def test_work_count_on_three_row_point(self, monkeypatch, odd_only):
+        """One level-nmax stabilizer: (rows + nmax) targets, each shifted by
+        the 2 nmax + 1 window exponents and reduced once."""
+        u = FramePoint.from_gens(
+            [
+                LaurentSeries({-3: 1, 1: 2, 2: -1}),
+                LaurentSeries({-2: 1, 0: 3, 3: 1}),
+                LaurentSeries({-1: 1, 2: 1}),
+            ],
+            3,
+            (-12, 12),
+        )
+        calls = {"reduce": 0, "stabilizer": 0}
+        reduce, stab = FramePoint.reduce, krichever.stabilizer
+
+        def counting_reduce(self, f):
+            calls["reduce"] += 1
+            return reduce(self, f)
+
+        def counting_stabilizer(*args):
+            calls["stabilizer"] += 1
+            return stab(*args)
+
+        monkeypatch.setattr(FramePoint, "reduce", counting_reduce)
+        monkeypatch.setattr(krichever, "stabilizer", counting_stabilizer)
+        nmax = 12
+        orbit_profile(u, nmax, odd_only)
+        assert calls == {"reduce": (3 + nmax) * (2 * nmax + 1),
+                         "stabilizer": 1}
 
 
 class TestQuotientRing:

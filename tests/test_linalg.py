@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from zgrass.linalg import det_field, det_ring, det_unit, nullspace, rank, rref
@@ -80,3 +80,66 @@ class TestKernel:
         for v in nullspace(rows, 4):
             for r in rows:
                 assert sum(Fraction(x) * y for x, y in zip(r, v)) == 0
+
+
+def dense_rref(rows, ncols=None):
+    """Dense Gauss-Jordan elimination, every pivot rewriting every row: the
+    rref that the sparse row-at-a-time version replaced; kept as an oracle."""
+    a = [list(map(Fraction, r)) for r in rows]
+    if ncols is None:
+        ncols = len(a[0]) if a else 0
+    pivots = []
+    row = 0
+    for col in range(ncols):
+        piv = next((r for r in range(row, len(a)) if a[r][col]), None)
+        if piv is None:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        p = a[row][col]
+        a[row] = [x / p for x in a[row]]
+        for r in range(len(a)):
+            if r != row and a[r][col]:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[row])]
+        pivots.append(col)
+        row += 1
+        if row == len(a):
+            break
+    return a, pivots
+
+
+ENTRIES = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=5),
+)
+
+
+@st.composite
+def degenerate_matrices(draw):
+    """Random rational rows, with zero rows, duplicates and combinations of
+    earlier rows inserted at random places."""
+    ncols = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(ENTRIES, min_size=ncols, max_size=ncols),
+                         max_size=5))
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(("zero", "duplicate", "combination")))
+        if kind == "zero" or not rows:
+            new = [0] * ncols
+        elif kind == "duplicate":
+            new = list(draw(st.sampled_from(rows)))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(ENTRIES), draw(ENTRIES)
+            new = [s * x + t * y for x, y in zip(a, b)]
+        rows.insert(draw(st.integers(0, len(rows))), new)
+    return rows, ncols
+
+
+class TestSparseRref:
+    @settings(max_examples=200)
+    @given(degenerate_matrices(), st.booleans())
+    def test_matches_dense_oracle(self, drawn, pass_ncols):
+        rows, ncols = drawn
+        arg = ncols if pass_ncols else None
+        assert rref(rows, arg) == dense_rref(rows, arg)

@@ -40,7 +40,6 @@ from .krichever import (
     orbit_profile,
     p0_membership,
     span_closure,
-    stabilizer,
 )
 from .linalg import det_field
 from .pfaffian import pfaffian, section_square_check
@@ -271,11 +270,10 @@ def cmd_orbit(obj, args):
     else:
         u = point_from_json(obj, _win(args))
     prof = orbit_profile(u, nmax=args.nmax, odd_only=args.odd)
-    basis = stabilizer(u, args.nmax)
     rep = {
         "dims": list(prof.dims),
         "odd_only": args.odd,
-        "stabilizer": [series_to_json(b) for b in basis],
+        "stabilizer": [series_to_json(b) for b in prof.stabilizer],
         "value": prof.value,
         "verdict": prof.verdict,
     }

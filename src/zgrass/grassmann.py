@@ -37,8 +37,8 @@ from .errors import (
     ZeroInput,
     ZgrassError,
 )
-from .linalg import det_field, det_ring, det_unit, nullspace
-from .series import LaurentSeries, _inv_coeff, residue, sigma0
+from .linalg import det_field, det_ring, det_unit, echelon, nullspace
+from .series import LaurentSeries, residue, sigma0
 from .symfun import Partition
 
 DEFAULT_WINDOW = (-32, 32)
@@ -121,32 +121,17 @@ class FramePoint:
         frame is minimal.  Dependent generators raise unless allow_dependent
         (projections and closures legitimately produce them).
         """
-        by_piv = {}
+        gens = list(gens)
         for g in gens:
             if not isinstance(g, LaurentSeries) or not g.exact:
                 raise ZgrassError("generators must be exact series")
-            r = g.drop_below(-tail_j)
-            while r.coeffs:
-                v = r.valuation()
-                if v in by_piv:
-                    r = r - by_piv[v] * r.coeff(v)
-                else:
-                    by_piv[v] = r * _inv_coeff(r.coeff(v))
-                    break
-            else:
-                if not allow_dependent:
-                    raise DependentGenerators(
-                        "generator lies in the span of the others and the tail"
-                    )
-        # cross-reduce, lowest pivot first so one pass settles everything
-        for p in sorted(by_piv):
-            row = by_piv[p]
-            for q in sorted(by_piv):
-                if q != p and row.coeff(q):
-                    row = row - by_piv[q] * row.coeff(q)
-            by_piv[p] = row
-        pivots = sorted(by_piv, reverse=True)
-        rows = [by_piv[p] for p in pivots]
+        basis, kept = echelon([g.drop_below(-tail_j).coeffs for g in gens])
+        if len(kept) < len(gens) and not allow_dependent:
+            raise DependentGenerators(
+                "generator lies in the span of the others and the tail"
+            )
+        pivots = sorted(basis, reverse=True)
+        rows = [LaurentSeries(basis[p]) for p in pivots]
         # absorb trailing pure monomials into the tail
         while rows and pivots[-1] == -tail_j and rows[-1] == LaurentSeries.monomial(-tail_j):
             rows.pop()
@@ -367,16 +352,11 @@ class FramePoint:
             floor_e = lo
             out_exact = False
         cand = list(range(floor_e, J))
-        if plain:
-            mat = [
-                [row.coeffs.get(-1 - e, Fraction(0)) for e in cand]
-                for row in self.rows
-            ]
-        elif flip:
+        if plain or flip:
             mat = [
                 [
-                    (row.coeffs.get(-1 - e, Fraction(0)) if e % 2 == 0
-                     else -row.coeffs.get(-1 - e, Fraction(0)))
+                    (-1 if flip and e % 2 else 1)
+                    * row.coeffs.get(-1 - e, Fraction(0))
                     for e in cand
                 ]
                 for row in self.rows
@@ -550,19 +530,10 @@ def coset_reps(a, b):
     cands = list(a.rows) + [
         LaurentSeries.monomial(-j) for j in range(a.tail_j + 1, jm + 1)
     ]
-    reps = []
-    seen = {}
-    for v in cands:
-        r = b.reduce(v).drop_below(-b.tail_j)
-        while r.coeffs:
-            lead = r.valuation()
-            if lead in seen:
-                r = r - seen[lead] * r.coeff(lead)
-            else:
-                seen[lead] = r * _inv_coeff(r.coeff(lead))
-                reps.append(v)
-                break
-    return reps
+    _, kept = echelon(
+        [b.reduce(v).drop_below(-b.tail_j).coeffs for v in cands]
+    )
+    return [cands[i] for i in kept]
 
 
 def is_prym_flow(g, sub=None):

@@ -243,10 +243,6 @@ def p0_triple_constraint(lam1, lam2, lam3, tau, fam="t", route="hall"):
     return _constraint(P0TRIPLE, (lam1, lam2, lam3), tau, fam, route)
 
 
-def curve_needed_weight(lam):
-    return _needed_weight(CURVE, _diagrams((lam,)))
-
-
 def curve_constraint(lam, tau, fam="t", route="hall"):
     """Linear constraint of one diagram: the diagonal level-0 extraction.
 

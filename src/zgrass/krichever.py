@@ -78,7 +78,7 @@ def _closed_under(u, gens):
         for r in u.rows:
             if not u.contains(r * g):
                 return False
-        top = max(g.coeffs)
+        top = max(g.coeffs, default=0)
         for j in range(u.tail_j + 1, u.tail_j + 1 + max(0, top)):
             if not u.contains(g.shift(-j)):
                 return False
@@ -135,8 +135,10 @@ def span_closure(gens, window=DEFAULT_WINDOW, module_gens=()):
         for j in range(jstar, top + 1)
     )
     if clean:
+        # full spans the products modulo the deeper tail, so its rows span
+        # the same subspace as the products modulo z^-jstar
         point = FramePoint.from_gens(
-            products, jstar - 1, window, allow_dependent=True
+            full.rows, jstar - 1, window, allow_dependent=True
         )
         if _closed_under(point, gens):
             return point
@@ -157,17 +159,7 @@ def is_ring_point(u):
     """
     if not u.exact:
         raise ZgrassError("ring test needs an exact frame")
-    if not u.contains(LaurentSeries.one()):
-        return False
-    for i, r in enumerate(u.rows):
-        for s in u.rows[i:]:
-            if not u.contains(r * s):
-                return False
-        top = max(r.coeffs) if r.coeffs else 0
-        for j in range(u.tail_j + 1, u.tail_j + 1 + max(0, top)):
-            if not u.contains(r.shift(-j)):
-                return False
-    return True
+    return u.contains(LaurentSeries.one()) and _closed_under(u, u.rows)
 
 
 class PrymReport(NamedTuple):
@@ -227,6 +219,7 @@ class OrbitProfile(NamedTuple):
     dims: tuple
     verdict: str  # "stable" | "inconclusive"
     value: int | None
+    stabilizer: list  # the level-nmax basis every level is read from
 
 
 def orbit_profile(u, nmax=12, odd_only=False):
@@ -263,6 +256,7 @@ def orbit_profile(u, nmax=12, odd_only=False):
         tuple(dims),
         "stable" if stable else "inconclusive",
         dims[-1] if stable else None,
+        stab,
     )
 
 

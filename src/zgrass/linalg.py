@@ -1,10 +1,12 @@
 """Small exact linear algebra over Fraction and over coefficient rings.
 
 Matrices are plain lists of lists.  The determinants eliminate densely (or
-expand, over rings without division); rref reduces one row at a time
-against a sparse echelon basis, since the constraint systems it solves have
-many more rows than rank.  Sizes stay small (a few dozen rows at most) and
-exactness is the point.
+expand, over rings without division).  echelon is the one row reduction:
+it reduces sparse rows one at a time against a sparse echelon basis, since
+the systems it solves have many more rows than rank, and rref, nullspace,
+frames (FramePoint.from_gens) and coset representatives all read their
+answers off it.  Sizes stay small (a few dozen rows at most) and exactness
+is the point.
 """
 
 from bisect import insort
@@ -111,40 +113,59 @@ def det_unit(rows):
     return det
 
 
-def rref(rows, ncols=None):
-    """Reduced row echelon form over Fraction.  Returns (matrix, pivot_cols).
+def echelon(rows, ncols=None):
+    """Reduced echelon basis of sparse rows, each a dict {key: value}.
 
-    Rows are reduced one at a time against a sparse echelon basis, a dict
-    from pivot column to row; a dependent row drops out, and the pass stops
-    once every column has a pivot.  Back-substitution then clears each
-    pivot column above its pivot.  The matrix keeps the input's row count:
-    the pivot rows in column order, then zero rows.
+    The one row reduction in zgrass.  Rows are reduced one at a time against
+    the pivots found so far; a row that keeps a nonzero entry below ncols
+    (at any key when ncols is None) joins the basis, monic at its smallest
+    such key, and the pass stops once ncols pivots are found.  The pivot
+    coefficient is inverted with series._inv_coeff, so any coefficient ring
+    whose pivots are units works.  Back-substitution then clears each pivot
+    from every other basis row.
+
+    Returns (basis, kept): basis maps each pivot to its row, and kept lists
+    the indices of the input rows that added a pivot, in input order.
     """
-    width = len(rows[0]) if rows else 0
-    if ncols is None:
-        ncols = width
     basis = {}
     pivots = []
-    for r in rows:
+    kept = []
+    for i, r in enumerate(rows):
         if len(pivots) == ncols:
             break
-        v = {c: Fraction(x) for c, x in enumerate(r) if x}
+        v = dict(r)
         for p in pivots:
             f = v.get(p)
             if f:
                 _axpy(v, -f, basis[p])
-        lead = min((c for c in v if c < ncols), default=None)
+        lead = min((c for c in v if ncols is None or c < ncols), default=None)
         if lead is None:
             continue
-        inv = 1 / v[lead]
+        inv = _inv_coeff(v[lead])
         basis[lead] = {c: x * inv for c, x in v.items()}
         insort(pivots, lead)
+        kept.append(i)
     for i in range(len(pivots) - 2, -1, -1):
         row = basis[pivots[i]]
         for q in pivots[i + 1 :]:
             f = row.get(q)
             if f:
                 _axpy(row, -f, basis[q])
+    return basis, kept
+
+
+def rref(rows, ncols=None):
+    """Reduced row echelon form over Fraction.  Returns (matrix, pivot_cols).
+
+    A dense view of echelon: the matrix keeps the input's row count, the
+    pivot rows in column order, then zero rows.
+    """
+    width = len(rows[0]) if rows else 0
+    basis, _ = echelon(
+        ({c: Fraction(x) for c, x in enumerate(r) if x} for r in rows),
+        width if ncols is None else ncols,
+    )
+    pivots = sorted(basis)
     zero = Fraction(0)
     a = [[basis[p].get(c, zero) for c in range(width)] for p in pivots]
     a += [[zero] * width for _ in range(len(rows) - len(pivots))]

@@ -13,6 +13,7 @@ from typing import NamedTuple
 
 from .errors import NotAlternating, ZgrassError
 from .grassmann import coset_reps
+from .linalg import det_field
 from .series import pair_sigma, sigma0
 from .symfun import TimePolynomial, _mono_weight, sqrt_series, tconst
 
@@ -94,8 +95,6 @@ def mti_duality_check(a, b, sub=None):
     ]
     if len(reps_a) != len(reps_b):
         return DualityReport(False, matrix)
-    from .linalg import det_field
-
     return DualityReport(det_field(matrix) != 0, matrix)
 
 

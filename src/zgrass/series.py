@@ -171,10 +171,6 @@ class LaurentSeries:
 
     # -- structural helpers --------------------------------------------------
 
-    def truncate(self, t):
-        """Forget everything at exponent >= t."""
-        return LaurentSeries(self.coeffs, _tmin(self.trunc, t))
-
     def drop_below(self, floor):
         """Discard coefficients at exponents < floor (an exact-window cut)."""
         return LaurentSeries(

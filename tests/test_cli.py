@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 import zgrass
-from zgrass import __version__
+from zgrass import __version__, krichever
 from zgrass.cli import main
 from zgrass.errors import ParseError
+from zgrass.grassmann import FramePoint
 from zgrass.io import frac_str, mono_str, parse_frac, series_from_json
 from zgrass.symfun import tvar
 
@@ -236,6 +237,33 @@ class TestOrbitCommand:
                             capsys=capsys)
             assert code == 2
             assert rep["error"].startswith("ParseError")
+
+    def test_one_stabilizer_per_request(self, tmp_path, capsys, monkeypatch):
+        """The report's stabilizer is the one the profile solved: one
+        level-12 solve, (3 + 12)(2 * 12 + 1) reductions."""
+        point = {"kind": "point", "tail": 3, "window": [-12, 12],
+                 "gens": [{"-3": "1", "1": "2", "2": "-1"},
+                          {"-2": "1", "0": "3", "3": "1"},
+                          {"-1": "1", "2": "1"}]}
+        calls = {"reduce": 0, "stabilizer": 0}
+        reduce, stab = FramePoint.reduce, krichever.stabilizer
+
+        def counting_reduce(self, f):
+            calls["reduce"] += 1
+            return reduce(self, f)
+
+        def counting_stabilizer(*args):
+            calls["stabilizer"] += 1
+            return stab(*args)
+
+        monkeypatch.setattr(FramePoint, "reduce", counting_reduce)
+        for name, mod in list(sys.modules.items()):
+            if (name.startswith("zgrass")
+                    and getattr(mod, "stabilizer", None) is stab):
+                monkeypatch.setattr(mod, "stabilizer", counting_stabilizer)
+        code, _ = run(tmp_path, point, "orbit", capsys=capsys)
+        assert code == 0
+        assert calls == {"reduce": 375, "stabilizer": 1}
 
 
 class TestPfaffianCommand:

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from zgrass.errors import (
     DependentGenerators,
@@ -351,6 +351,118 @@ class TestCosets:
     def test_self_cosets_empty(self):
         v = FramePoint.vacuum()
         assert coset_reps(v, v) == []
+
+
+def two_pass_from_gens(gens, tail_j, allow_dependent=False):
+    """FramePoint.from_gens as it was before it called linalg.echelon:
+    leading-term reduction by valuation, then a cross-reduction pass; kept
+    as an oracle.  Returns (rows, pivots, tail_j)."""
+    by_piv = {}
+    for g in gens:
+        r = g.drop_below(-tail_j)
+        while r.coeffs:
+            v = r.valuation()
+            if v in by_piv:
+                r = r - by_piv[v] * r.coeff(v)
+            else:
+                by_piv[v] = r * (Fraction(1) / r.coeff(v))
+                break
+        else:
+            if not allow_dependent:
+                raise DependentGenerators("dependent generator")
+    for p in sorted(by_piv):
+        row = by_piv[p]
+        for q in sorted(by_piv):
+            if q != p and row.coeff(q):
+                row = row - by_piv[q] * row.coeff(q)
+        by_piv[p] = row
+    pivots = sorted(by_piv, reverse=True)
+    rows = [by_piv[p] for p in pivots]
+    while rows and pivots[-1] == -tail_j and rows[-1] == mono(-tail_j):
+        rows.pop()
+        pivots.pop()
+        tail_j -= 1
+    return rows, pivots, tail_j
+
+
+def seen_dict_coset_reps(a, b):
+    """coset_reps as it was before it called linalg.echelon; kept as an
+    oracle."""
+    jm = max(a.tail_j, b.tail_j)
+    cands = list(a.rows) + [mono(-j) for j in range(a.tail_j + 1, jm + 1)]
+    reps = []
+    seen = {}
+    for v in cands:
+        r = b.reduce(v).drop_below(-b.tail_j)
+        while r.coeffs:
+            lead = r.valuation()
+            if lead in seen:
+                r = r - seen[lead] * r.coeff(lead)
+            else:
+                seen[lead] = r * (Fraction(1) / r.coeff(lead))
+                reps.append(v)
+                break
+    return reps
+
+
+COEFFS = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+SERIES = st.dictionaries(st.integers(-5, 3), COEFFS, max_size=4).map(series)
+
+
+@st.composite
+def generator_lists(draw):
+    """Random generators over a random tail, with zero, duplicate and
+    combination generators and tail-boundary monomials inserted."""
+    tail = draw(st.integers(0, 3))
+    gens = draw(st.lists(SERIES, max_size=4))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("zero", "duplicate", "combination",
+                                     "monomial")))
+        if kind == "monomial":
+            new = mono(-draw(st.integers(tail - 1, tail)))
+        elif kind == "zero" or not gens:
+            new = LaurentSeries()
+        elif kind == "duplicate":
+            new = draw(st.sampled_from(gens))
+        else:
+            a, b = draw(st.sampled_from(gens)), draw(st.sampled_from(gens))
+            new = a * draw(COEFFS) + b * draw(COEFFS)
+        gens.insert(draw(st.integers(0, len(gens))), new)
+    return gens, tail
+
+
+@st.composite
+def small_frames(draw):
+    """Exact frames with 0-3 rows over a tail of 0-3."""
+    tail = draw(st.integers(0, 3))
+    visible = st.dictionaries(st.integers(-tail, 3), COEFFS, max_size=4)
+    gens = draw(st.lists(visible.map(series), max_size=3))
+    return FramePoint.from_gens(gens, tail, allow_dependent=True)
+
+
+class TestEchelonOracles:
+    @settings(max_examples=200)
+    @given(generator_lists(), st.booleans())
+    def test_from_gens_matches_two_pass(self, drawn, allow_dependent):
+        gens, tail = drawn
+        try:
+            want = two_pass_from_gens(gens, tail, allow_dependent)
+        except DependentGenerators:
+            with pytest.raises(DependentGenerators):
+                FramePoint.from_gens(gens, tail,
+                                     allow_dependent=allow_dependent)
+            return
+        u = FramePoint.from_gens(gens, tail, allow_dependent=allow_dependent)
+        assert (list(u.rows), list(u.pivots), u.tail_j) == want
+
+    @settings(max_examples=100)
+    @given(small_frames(), small_frames())
+    def test_coset_reps_match_seen_dict(self, a, b):
+        assert coset_reps(a, b) == seen_dict_coset_reps(a, b)
+        assert coset_reps(b, a) == seen_dict_coset_reps(b, a)
 
 
 class TestPrymFlows:

@@ -3,7 +3,7 @@
     zgrass check FILE          invariants of a point, or closure of a curve
     zgrass tau FILE            tau polynomial through a weight
     zgrass baker FILE          Baker series blocks plus the duality residues
-    zgrass bilinear FILE       both bilinear residuals, series and matrix form
+    zgrass bilinear FILE       both bilinear residuals and their matrices
     zgrass hierarchy FILE      constraint suite with per-family verdicts
     zgrass orbit FILE          flow-orbit dimension profile, stabilizer basis
     zgrass pfaffian FILE       Pfaffian of an alternating matrix, squared
@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import OddParity, ParseError, ZgrassError
-from .grassmann import FramePoint, is_prym_flow
+from .grassmann import FramePoint, _is_unit_one, is_prym_flow
 from .hierarchy import constraint_suite, suite_verdict
 from .io import (
     curve_from_json,
@@ -35,12 +35,7 @@ from .io import (
     poly_to_json,
     series_to_json,
 )
-from .krichever import (
-    is_ring_point,
-    orbit_profile,
-    p0_membership,
-    span_closure,
-)
+from .krichever import orbit_profile, p0_membership, span_closure
 from .linalg import det_field
 from .pfaffian import pfaffian, section_square_check
 from .series import LaurentSeries, exp_floor
@@ -72,26 +67,18 @@ def _win(args):
     return (-r, r)
 
 
-def flow_exponential(flows, floor, cap=None):
+def flow_exponential(flows, floor):
     """exp(sum c_k z^-k) as an exact series, materialized down to the floor.
 
     A string coefficient names a formal family: the flow along z^-k then
     carries the weight-k variable of that family, so minors and tau values
-    come out as polynomials in those parameters.  The cap bounds the weight
-    carried by any one coefficient; everything of joint weight within the
-    cap stays exact.
+    come out as polynomials in those parameters.
     """
     coeffs = {
         -k: tvar(k, c) if isinstance(c, str) else Fraction(c)
         for k, c in flows.items()
     }
-    g = exp_floor(LaurentSeries(coeffs), floor)
-    if cap is None:
-        return g
-    return LaurentSeries({
-        e: c.with_cap(cap) if isinstance(c, TimePolynomial) else c
-        for e, c in g.coeffs.items()
-    })
+    return exp_floor(LaurentSeries(coeffs), floor)
 
 
 def _json_value(v):
@@ -147,13 +134,12 @@ def cmd_check(obj, args):
     if u.exact:
         checks.append(_check("closure-certified", True,
                              "monomial tail certified inside the window"))
-        ring = is_ring_point(u)
-        rep["ring"] = ring
+        prym = p0_membership(u)
+        rep["ring"] = prym.ring
         if not data.module_gens:
             checks.append(_check(
-                "ring-closed", ring,
+                "ring-closed", prym.ring,
                 "span of the ring generators is multiplicatively closed"))
-        prym = p0_membership(u)
         rep["prym"] = {
             "ring": prym.ring,
             "sigma_invariant": prym.sigma_invariant,
@@ -201,8 +187,9 @@ def cmd_baker(obj, args):
 
 def cmd_bilinear(obj, args):
     u = point_from_json(obj, _win(args))
-    r1, r2 = bilinear_residues(u, args.weight)
-    first, second = baker_residual_matrices(u)
+    dual = u.orthogonal()
+    r1, r2 = bilinear_residues(u, args.weight, dual=dual)
+    first, second = baker_residual_matrices(u, dual=dual)
     inv = u.is_sigma_invariant()
     rep = {
         "first_residual": poly_to_json(r1),
@@ -306,7 +293,12 @@ def cmd_family_square(obj, args):
     g = flow_exponential(flows, floor)
     pi0 = start.flow(g).plucker(())
     sq = section_square_check(pi0)
-    moved = start.flow(flow_exponential(flows, floor, cap=weight))
+    # capping each coefficient at the weight keeps everything of joint
+    # weight within it exact
+    moved = start.flow(LaurentSeries({
+        e: c.with_cap(weight) if isinstance(c, TimePolynomial) else c
+        for e, c in g.coeffs.items()
+    }))
     tau = tau_function(moved, "t", cap=weight)
     rep = {
         "flows": {str(k): c if isinstance(c, str) else frac_str(c)
@@ -323,7 +315,7 @@ def cmd_family_square(obj, args):
         # along the odd orbit of the base flag the whole frame determinant
         # collapses: the section is the constant 1, an exact square
         checks.append(_check(
-            "square-section", sq.ok and sq.scale == 1 and _is_one(pi0),
+            "square-section", sq.ok and sq.scale == 1 and _is_unit_one(pi0),
             "leading minor is exactly 1 on the base orbit"))
     else:
         checks.append(_check(
@@ -349,12 +341,6 @@ def cmd_family_square(obj, args):
         f"scale * root^2 returns the odd restriction through "
         f"weight {weight}"))
     return rep, checks
-
-
-def _is_one(v):
-    if isinstance(v, TimePolynomial):
-        return not (v + TimePolynomial({(): Fraction(-1)}, v.maxweight))
-    return v == 1
 
 
 # -- driver --------------------------------------------------------------------

@@ -86,9 +86,11 @@ class FramePoint:
             raise ZgrassError("window must satisfy lo < hi")
         if len(self.rows) != len(self.pivots):
             raise IndexMismatch("one pivot per row")
-        for r in self.rows:
+        for r, p in zip(self.rows, self.pivots):
             if not isinstance(r, LaurentSeries) or not r.exact:
                 raise ZgrassError("frame rows must be exact series")
+            if exact and r.low != p:
+                raise IndexMismatch("an exact row's pivot is its valuation")
         for a, b in zip(self.pivots, self.pivots[1:]):
             if a <= b:
                 raise IndexMismatch("pivots must be strictly decreasing")

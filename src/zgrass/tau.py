@@ -15,14 +15,18 @@ polynomial blocks p_i(t): psi(z, t) = z * sum_i u_i(z) p_i(t).  Pairing a
 point's Baker series against the one of its residue-dual gives two bilinear
 residuals: the first vanishes identically by duality, and the second --
 evaluated at -z -- vanishes precisely on sign-invariant points, so its
-lowest monomial is an honest obstruction witness.
+lowest monomial is an honest obstruction witness.  Both residual
+polynomials are read off the frame-level residual matrices M as
+sum_ij M[i][j] p_{i+1}(t) p_{j+1}(t'); assembling the two Baker series and
+taking the residue of their product is the slower route the tests keep as
+an oracle.
 """
 
 from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import NotIsotropic, OddParity, ZgrassError
-from .series import LaurentSeries, pair_std, residue, sigma0
+from .series import LaurentSeries, pair_std, sigma0
 from .symfun import (
     Partition,
     TimePolynomial,
@@ -188,33 +192,30 @@ def baker_residual_matrices(u, count=None, dual=None):
     wb = _basis(w, count)
     flip = sigma0()
     first = [[pair_std(a, b) for b in wb] for a in ub]
-    second = [[-pair_std(a.substitute(flip), b) for b in wb] for a in ub]
+    second = [[-pair_std(fa, b) for b in wb]
+              for fa in (a.substitute(flip) for a in ub)]
     return first, second
-
-
-def _assemble(pairs):
-    acc = LaurentSeries.zero()
-    for row, block in pairs:
-        if block:
-            acc = acc + row * block
-    return LaurentSeries.monomial(1) * acc
 
 
 def bilinear_residues(u, weight, fams=("t", "s"), dual=None):
     """The two bilinear residuals Res psi(+-z, t) psi*(z, t') dz / z^2.
 
-    Literal route: assemble both Baker series and read the residues off the
-    products.  The first residual vanishes identically (duality); the second
-    vanishes exactly when the point is sign-invariant -- its lowest nonzero
-    monomial in (t, t') is the obstruction witness.  Entries agree with
-    sum_ij first/second[i][j] p_i(t) p_j(t') over the residual matrices.
+    Both are read off the residual matrices through the weight:
+    sum_ij first/second[i][j] p_{i+1}(t) p_{j+1}(t'), the product of the two
+    Baker series with the rows paired out.  The first residual vanishes
+    identically (duality); the second vanishes exactly when the point is
+    sign-invariant -- its lowest nonzero monomial in (t, t') is the
+    obstruction witness.
     """
     ft, fs = fams
-    w = dual if dual is not None else u.orthogonal()
-    psi = _assemble(baker(u, weight, ft))
-    phi = _assemble(baker(w, weight, fs))
-    form = LaurentSeries.monomial(-2)
-    r1 = residue(psi * phi * form)
-    r2 = residue(psi.substitute(sigma0()) * phi * form)
-    z = TimePolynomial({}, weight)
-    return (z + r1 if r1 else z, z + r2 if r2 else z)
+    ps = [schur_p(k, ft).with_cap(weight) for k in range(1, weight + 1)]
+    qs = [schur_p(k, fs).with_cap(weight) for k in range(1, weight + 1)]
+    out = []
+    for m in baker_residual_matrices(u, weight, dual):
+        acc = TimePolynomial({}, weight)
+        for i, row in enumerate(m):
+            for j in range(weight - i - 1):
+                if row[j]:
+                    acc = acc + ps[i] * qs[j] * row[j]
+        out.append(acc)
+    return tuple(out)

@@ -14,7 +14,8 @@ from zgrass.cli import main
 from zgrass.errors import ParseError
 from zgrass.grassmann import FramePoint
 from zgrass.io import frac_str, mono_str, parse_frac, series_from_json
-from zgrass.symfun import tvar
+from zgrass.series import LaurentSeries
+from zgrass.symfun import TimePolynomial, tvar
 
 CUSP = {"kind": "point", "gens": [{"0": "1"}], "tail": 1, "window": [-8, 8]}
 PENCIL = {"kind": "point", "gens": [{"-1": "1", "0": "1"}], "tail": 1,
@@ -25,6 +26,13 @@ ALT = {"kind": "matrix", "entries": [
     ["0", "2", "-1", "3"], ["-2", "0", "4", "1"],
     ["1", "-4", "0", "5"], ["-3", "-1", "-5", "0"]]}
 FAMILY = {"kind": "family", "flows": {"1": "a", "3": "a"}, "floor": -10}
+THREE_ROW = {"kind": "point", "gens": [
+    {"-3": "1", "1": "2", "2": "-1"}, {"-2": "1", "0": "3", "3": "1"},
+    {"-1": "1", "2": "1"}], "tail": 3, "window": [-12, 12]}
+CURVE_2_5 = {"kind": "curve", "ring_gens": [{"-2": "1"}, {"-5": "1"}],
+             "label": "<2,5>", "window": [-24, 24]}
+TWO_FAMILY = {"kind": "family", "flows": {"1": "a", "3": "b"}, "floor": -10}
+GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
 def run(tmp_path, obj, *argv, capsys=None):
@@ -319,6 +327,55 @@ class TestFamilySquare:
         fam = {"kind": "family", "flows": {"2": "1"}, "floor": -8}
         code, rep = run(tmp_path, fam, "family-square", capsys=capsys)
         assert code == 1 and "prym-flow" in names(rep, "fail")
+
+
+class TestGoldenReports:
+    """Reports pinned byte for byte under tests/data/golden."""
+
+    @pytest.mark.parametrize("name, obj, argv, code", [
+        ("bilinear_cusp", CUSP, ["bilinear"], 0),
+        ("bilinear_cusp_w3", CUSP, ["bilinear", "--weight", "3"], 0),
+        ("bilinear_three_row", THREE_ROW, ["bilinear"], 0),
+        # weight 3 is too low to see the 3-row point's sign obstruction
+        ("bilinear_three_row_w3", THREE_ROW, ["bilinear", "--weight", "3"], 1),
+        ("baker_three_row", THREE_ROW, ["baker"], 0),
+        ("check_curve_2_5", CURVE_2_5, ["check"], 0),
+        ("family_square_two", TWO_FAMILY,
+         ["family-square", "--weight", "6"], 0),
+    ])
+    def test_report(self, tmp_path, capsys, name, obj, argv, code):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(obj))
+        assert main([argv[0], str(path), *argv[1:]]) == code
+        assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
+
+
+def test_bilinear_work_on_three_row_point(tmp_path, capsys, monkeypatch):
+    """One orthogonal complement per request, and no series product with
+    polynomial coefficients: the residuals come off the residual matrices."""
+    calls = {"orthogonal": 0, "poly_series_mul": 0}
+    orthogonal, mul = FramePoint.orthogonal, LaurentSeries.__mul__
+
+    def has_poly(x):
+        if isinstance(x, LaurentSeries):
+            return any(isinstance(c, TimePolynomial)
+                       for c in x.coeffs.values())
+        return isinstance(x, TimePolynomial)
+
+    def counting_orthogonal(self, *args, **kwargs):
+        calls["orthogonal"] += 1
+        return orthogonal(self, *args, **kwargs)
+
+    def counting_mul(self, other):
+        calls["poly_series_mul"] += has_poly(self) or has_poly(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(FramePoint, "orthogonal", counting_orthogonal)
+    monkeypatch.setattr(LaurentSeries, "__mul__", counting_mul)
+    monkeypatch.setattr(LaurentSeries, "__rmul__", counting_mul)
+    code, rep = run(tmp_path, THREE_ROW, "bilinear", capsys=capsys)
+    assert code == 0 and rep["report"]["second_residual"]["terms"]
+    assert calls == {"orthogonal": 1, "poly_series_mul": 0}
 
 
 def test_console_entry():

@@ -102,6 +102,11 @@ class TestFrames:
             FramePoint((mono(-1), ONE), (-1, 0), 1)
         with pytest.raises(IndexMismatch):
             FramePoint((mono(-3),), (-3,), 1)
+        # an exact row must be nonzero and have its pivot as valuation
+        with pytest.raises(IndexMismatch):
+            FramePoint((ONE, LaurentSeries()), (0, -1), 1)
+        with pytest.raises(IndexMismatch):
+            FramePoint((mono(1),), (0,), 1)
 
 
 class TestMembership:

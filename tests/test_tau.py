@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from zgrass.errors import (
     InsufficientPrecision,
@@ -11,7 +12,7 @@ from zgrass.errors import (
     ZgrassError,
 )
 from zgrass.grassmann import FramePoint
-from zgrass.series import LaurentSeries
+from zgrass.series import LaurentSeries, residue, sigma0
 from zgrass.symfun import Partition, TimePolynomial, schur, schur_p, tconst, tvar
 from zgrass.tau import (
     baker,
@@ -253,7 +254,47 @@ class TestBakerSeries:
             baker(moved, 2)
 
 
+def assembled_residues(u, weight, fams=("t", "s"), dual=None):
+    """Oracle: both Baker series assembled as series with polynomial
+    coefficients, the residues read off their products."""
+
+    def assemble(pairs):
+        acc = LaurentSeries.zero()
+        for row, block in pairs:
+            if block:
+                acc = acc + row * block
+        return LaurentSeries.monomial(1) * acc
+
+    ft, fs = fams
+    w = dual if dual is not None else u.orthogonal()
+    psi = assemble(baker(u, weight, ft))
+    phi = assemble(baker(w, weight, fs))
+    form = LaurentSeries.monomial(-2)
+    r1 = residue(psi * phi * form)
+    r2 = residue(psi.substitute(sigma0()) * phi * form)
+    z = TimePolynomial({}, weight)
+    return (z + r1 if r1 else z, z + r2 if r2 else z)
+
+
+@st.composite
+def exact_frames(draw):
+    """Exact frames of 0-3 rows over tails 0-3: charges -3..3, both
+    parities, sign-invariant or not."""
+    tail = draw(st.integers(0, 3))
+    gens = [
+        LaurentSeries(draw(st.dictionaries(
+            st.integers(-tail, 3), st.integers(-3, 3), min_size=1,
+            max_size=3)))
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    return FramePoint.from_gens(gens, tail, (-12, 12), allow_dependent=True)
+
+
 class TestBilinear:
+    @given(exact_frames(), st.integers(0, 8))
+    def test_matches_assembled_series(self, u, weight):
+        assert bilinear_residues(u, weight) == assembled_residues(u, weight)
+
     def test_first_matrix_vanishes(self):
         first, _ = baker_residual_matrices(pencil(), count=3)
         assert all(v == 0 for row in first for v in row)
@@ -285,7 +326,7 @@ class TestBilinear:
     def test_series_route_matches_matrices(self):
         u = pencil()
         _, second = baker_residual_matrices(u, count=3)
-        _, r2 = bilinear_residues(u, 3)
+        _, r2 = assembled_residues(u, 3)
         acc = TimePolynomial({}, 3)
         for i in range(3):
             for j in range(3):

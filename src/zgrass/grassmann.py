@@ -37,7 +37,7 @@ from .errors import (
     ZeroInput,
     ZgrassError,
 )
-from .linalg import det_field, det_ring, det_unit, echelon, nullspace
+from .linalg import det_ring, det_unit, echelon, nullspace
 from .series import LaurentSeries, residue, sigma0
 from .symfun import Partition
 
@@ -250,13 +250,10 @@ class FramePoint:
             [rows[i].coeffs.get(c, Fraction(0)) for c in cols]
             for i in range(n)
         ]
-        if all(isinstance(x, Fraction) for row in mat for x in row):
-            val = det_field(mat)
-        else:
-            try:
-                val = det_unit(mat)
-            except ZgrassError:
-                val = det_ring(mat)
+        try:
+            val = det_unit(mat)
+        except ZgrassError:
+            val = det_ring(mat)
         self._minor_cache[cols] = val
         return val
 

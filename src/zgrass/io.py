@@ -36,12 +36,15 @@ _FAMILY_RE = re.compile(r"[a-z]+\Z")
 
 
 def parse_frac(value):
-    """Exact rational from a JSON scalar: "p/q", "p", or an integer."""
+    """Exact rational from a JSON scalar: "p/q", "p", or an integer.  No
+    exponent notation: Fraction("1e999999999") would expand the power."""
     if isinstance(value, bool):
         raise ParseError(f"expected a rational, got {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise ParseError(f"exponent notation is not accepted: {value!r}")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):

@@ -1,12 +1,13 @@
 """Small exact linear algebra over Fraction and over coefficient rings.
 
-Matrices are plain lists of lists.  The determinants eliminate densely (or
-expand, over rings without division).  echelon is the one row reduction:
-it reduces sparse rows one at a time against a sparse echelon basis, since
-the systems it solves have many more rows than rank, and rref, nullspace,
-frames (FramePoint.from_gens) and coset representatives all read their
-answers off it.  Sizes stay small (a few dozen rows at most) and exactness
-is the point.
+Matrices are plain lists of lists.  det_unit is the one Gaussian
+elimination (det_field is det_unit over Fraction); det_ring expands, over
+rings without unit pivots.  echelon is the one row reduction: it reduces
+sparse rows one at a time against a sparse echelon basis, since the systems
+it solves have many more rows than rank, and rref, nullspace, frames
+(FramePoint.from_gens) and coset representatives all read their answers
+off it.  Sizes stay small (a few dozen rows at most) and exactness is the
+point.
 """
 
 from bisect import insort
@@ -17,28 +18,11 @@ from .series import _inv_coeff
 
 
 def det_field(rows):
-    """Determinant by Gaussian elimination over Fraction, dividing by each
-    pivot; the determinant is the signed product of the pivots."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    a = [list(map(Fraction, r)) for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        p = a[col][col]
-        det *= p
-        for r in range(col + 1, n):
-            if a[r][col]:
-                f = a[r][col] / p
-                for c in range(col, n):
-                    a[r][c] -= f * a[col][c]
-    return det
+    """Determinant over Fraction: det_unit on the entries read as Fraction.
+
+    Over a field every nonzero pivot is a unit, so det_unit never refuses.
+    """
+    return det_unit([list(map(Fraction, r)) for r in rows])
 
 
 def det_ring(rows):
@@ -75,11 +59,12 @@ def det_ring(rows):
 
 
 def det_unit(rows):
-    """Gaussian determinant for rings where every pivot found is a unit.
+    """Gaussian determinant, the signed product of unit pivots.
 
-    Intended for triangular-plus-nilpotent matrices over a weight-truncated
-    parameter ring, where det_ring is too slow.  Raises ZgrassError when no
-    unit pivot exists in some column; callers fall back to det_ring.
+    Each column pivots on its first unit: a Fraction, or a ring element with
+    a nonzero constant term (weight-truncated parameter polynomials).
+    Raises ZgrassError when a column's nonzero entries hold no unit; callers
+    fall back to det_ring.  Over Fraction it never raises (det_field).
     """
     n = len(rows)
     a = [list(r) for r in rows]
@@ -154,6 +139,11 @@ def echelon(rows, ncols=None):
     return basis, kept
 
 
+def _sparse(rows):
+    """Dense rows as sparse {column: Fraction} rows, zeros left out."""
+    return ({c: Fraction(x) for c, x in enumerate(r) if x} for r in rows)
+
+
 def rref(rows, ncols=None):
     """Reduced row echelon form over Fraction.  Returns (matrix, pivot_cols).
 
@@ -161,10 +151,7 @@ def rref(rows, ncols=None):
     pivot rows in column order, then zero rows.
     """
     width = len(rows[0]) if rows else 0
-    basis, _ = echelon(
-        ({c: Fraction(x) for c, x in enumerate(r) if x} for r in rows),
-        width if ncols is None else ncols,
-    )
+    basis, _ = echelon(_sparse(rows), width if ncols is None else ncols)
     pivots = sorted(basis)
     zero = Fraction(0)
     a = [[basis[p].get(c, zero) for c in range(width)] for p in pivots]
@@ -185,23 +172,23 @@ def _axpy(v, f, w):
 def nullspace(rows, ncols):
     """Basis of the right kernel of the matrix, one vector per free column.
 
-    Each basis vector carries a 1 in its free column; deterministic order.
+    Read off echelon's basis: the vector of free column fc carries a 1 at fc
+    and -row[fc] at each pivot row's column; deterministic order.
     """
-    if not rows:
-        return [
-            [Fraction(1 if j == i else 0) for j in range(ncols)]
-            for i in range(ncols)
-        ]
-    a, pivots = rref(rows, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -a[r][fc]
-        basis.append(v)
-    return basis
+    basis, _ = echelon(_sparse(rows), ncols)
+    zero, one = Fraction(0), Fraction(1)
+    out = []
+    for fc in range(ncols):
+        if fc in basis:
+            continue
+        v = [zero] * ncols
+        v[fc] = one
+        for p, row in basis.items():
+            x = row.get(fc)
+            if x:
+                v[p] = -x
+        out.append(v)
+    return out
 
 
 def rank(rows, ncols=None):

@@ -14,7 +14,6 @@ with +, -, *, bool and (for inversion) either Fraction division or an
 this way for flow and family computations.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InsufficientPrecision, NotInvolution, ZeroInput, ZgrassError
@@ -269,20 +268,20 @@ class LaurentSeries:
         return " + ".join(bits) if bits else "0"
 
 
-@dataclass(frozen=True, eq=False)
 class SubstitutionMap:
     """A change of local coordinate z -> image(z), valuation exactly 1.
 
     sign_flip marks the involution z -> -z, which gets an exact fast path
-    (no precision is lost flipping signs).
+    (no precision is lost flipping signs).  Maps compare by identity.
     """
 
-    image: LaurentSeries
-    sign_flip: bool = False
+    __slots__ = ("image", "sign_flip")
 
-    def __post_init__(self):
-        if self.image.valuation() != 1:
+    def __init__(self, image, sign_flip=False):
+        if image.valuation() != 1:
             raise ZgrassError("substitution image must have valuation 1")
+        self.image = image
+        self.sign_flip = sign_flip
 
     def compose(self, other):
         """The map z -> self(other(z))."""

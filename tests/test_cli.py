@@ -32,6 +32,11 @@ THREE_ROW = {"kind": "point", "gens": [
 CURVE_2_5 = {"kind": "curve", "ring_gens": [{"-2": "1"}, {"-5": "1"}],
              "label": "<2,5>", "window": [-24, 24]}
 TWO_FAMILY = {"kind": "family", "flows": {"1": "a", "3": "b"}, "floor": -10}
+# the alternating matrix of test_pfaffian's test_six_by_six_square
+SIX_BY_SIX = {"kind": "matrix", "entries": [
+    ["0", "1", "-2", "3", "1", "0"], ["-1", "0", "2", "1", "-1", "4"],
+    ["2", "-2", "0", "5", "2", "-3"], ["-3", "-1", "-5", "0", "1", "2"],
+    ["-1", "1", "-2", "-1", "0", "-1"], ["0", "-4", "3", "-2", "1", "0"]]}
 GOLDEN = Path(__file__).parent / "data" / "golden"
 
 
@@ -54,7 +59,7 @@ class TestFractions:
         assert parse_frac(7) == 7
 
     def test_rejects_floats_bools_and_poles(self):
-        for bad in (1.5, True, "1/0", None, "x"):
+        for bad in (1.5, True, "1/0", None, "x", "1e1000000", "2E-3"):
             with pytest.raises(ParseError):
                 parse_frac(bad)
 
@@ -336,12 +341,16 @@ class TestGoldenReports:
         ("bilinear_cusp", CUSP, ["bilinear"], 0),
         ("bilinear_cusp_w3", CUSP, ["bilinear", "--weight", "3"], 0),
         ("bilinear_three_row", THREE_ROW, ["bilinear"], 0),
-        # weight 3 is too low to see the 3-row point's sign obstruction
-        ("bilinear_three_row_w3", THREE_ROW, ["bilinear", "--weight", "3"], 1),
+        # the 3-row point's sign obstruction sits at weight 4: skipped at 3
+        ("bilinear_three_row_w3", THREE_ROW, ["bilinear", "--weight", "3"], 0),
         ("baker_three_row", THREE_ROW, ["baker"], 0),
         ("check_curve_2_5", CURVE_2_5, ["check"], 0),
         ("family_square_two", TWO_FAMILY,
          ["family-square", "--weight", "6"], 0),
+        ("tau_three_row", THREE_ROW, ["tau"], 0),
+        ("orbit_three_row", THREE_ROW, ["orbit"], 0),
+        ("orbit_odd_curve_2_5", CURVE_2_5, ["orbit", "--odd"], 0),
+        ("pfaffian_six", SIX_BY_SIX, ["pfaffian"], 0),
     ])
     def test_report(self, tmp_path, capsys, name, obj, argv, code):
         path = tmp_path / "input.json"
@@ -376,6 +385,18 @@ def test_bilinear_work_on_three_row_point(tmp_path, capsys, monkeypatch):
     code, rep = run(tmp_path, THREE_ROW, "bilinear", capsys=capsys)
     assert code == 0 and rep["report"]["second_residual"]["terms"]
     assert calls == {"orthogonal": 1, "poly_series_mul": 0}
+
+
+def test_cli_import_skips_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize at start-up
+    src = str(Path(zgrass.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys, zgrass.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_entry():

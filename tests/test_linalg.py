@@ -1,9 +1,11 @@
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from zgrass.grassmann import FramePoint
 from zgrass.linalg import det_field, det_ring, det_unit, nullspace, rank, rref
+from zgrass.series import LaurentSeries
 from zgrass.symfun import tconst, tvar
 
 
@@ -143,3 +145,112 @@ class TestSparseRref:
         rows, ncols = drawn
         arg = ncols if pass_ncols else None
         assert rref(rows, arg) == dense_rref(rows, arg)
+
+
+def dense_nullspace(rows, ncols):
+    """The kernel read off a dense rref, one vector per free column: the
+    nullspace that reading echelon's basis directly replaced; kept as an
+    oracle."""
+    if not rows:
+        return [
+            [Fraction(1 if j == i else 0) for j in range(ncols)]
+            for i in range(ncols)
+        ]
+    a, pivots = dense_rref(rows, ncols)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -a[r][fc]
+        basis.append(v)
+    return basis
+
+
+class TestNullspaceOracle:
+    @settings(max_examples=200)
+    @given(degenerate_matrices())
+    @example(([], 0))
+    @example(([], 3))
+    def test_matches_dense_oracle(self, drawn):
+        rows, ncols = drawn
+        assert nullspace(rows, ncols) == dense_nullspace(rows, ncols)
+
+
+def dividing_det(rows):
+    """Gaussian elimination over Fraction dividing by each pivot: det_field
+    before it became det_unit over Fraction; kept as an oracle."""
+    n = len(rows)
+    if n == 0:
+        return Fraction(1)
+    a = [list(map(Fraction, r)) for r in rows]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = -det
+        p = a[col][col]
+        det *= p
+        for r in range(col + 1, n):
+            if a[r][col]:
+                f = a[r][col] / p
+                for c in range(col, n):
+                    a[r][c] -= f * a[col][c]
+    return det
+
+
+@st.composite
+def square_matrices(draw, entries):
+    """n x n matrices, n = 0-7, with zero rows, duplicates and combinations
+    of other rows put in at random places."""
+    n = draw(st.integers(0, 7))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    for _ in range(draw(st.integers(0, n))):
+        kind = draw(st.sampled_from(("zero", "duplicate", "combination")))
+        at = draw(st.integers(0, n - 1))
+        if kind == "zero":
+            rows[at] = [0] * n
+        elif kind == "duplicate":
+            rows[at] = list(draw(st.sampled_from(rows)))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(entries), draw(entries)
+            rows[at] = [s * x + t * y for x, y in zip(a, b)]
+    return rows
+
+
+class TestOneElimination:
+    @settings(max_examples=200)
+    @given(st.one_of(square_matrices(ENTRIES),
+                     square_matrices(st.integers(-5, 5))))
+    def test_field_and_unit_match_dividing_oracle(self, rows):
+        want = dividing_det(rows)
+        assert det_field(rows) == want
+        assert det_unit([[Fraction(x) for x in r] for r in rows]) == want
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_frame_minors_match_dividing_oracle(self, data):
+        tail = data.draw(st.integers(0, 3))
+        gens = data.draw(st.lists(
+            st.dictionaries(st.integers(-tail, 3), ENTRIES, max_size=4),
+            min_size=1, max_size=3))
+        u = FramePoint.from_gens([LaurentSeries(g) for g in gens], tail,
+                                 allow_dependent=True)
+        assume(u.rows)
+        # the pivot columns give a nonzero minor; move up to two of them
+        # off the pivots, then sample the columns in any order
+        n = data.draw(st.integers(1, len(u.rows) + 2))
+        cols = list(u.materialized()[1][:n])
+        for k in data.draw(st.lists(st.integers(0, n - 1), max_size=2)):
+            cols[k] = data.draw(st.integers(-tail - 3, 3).filter(
+                lambda c: c not in cols))
+        cols = data.draw(st.permutations(cols))
+        rows, _ = u.materialized(min(min(cols), u.window[0]))
+        mat = [[rows[i].coeffs.get(c, 0) for c in cols] for i in range(n)]
+        assert u.minor(cols) == dividing_det(mat)

@@ -41,10 +41,6 @@ class NotAlternating(ZgrassError):
     """A matrix handed to the pfaffian is not alternating."""
 
 
-class NotAFamily(ZgrassError):
-    """Family data (parameter ring, weights) is inconsistent."""
-
-
 class OddParity(ZgrassError):
     """An operation defined on the even component met a parity-1 point."""
 

@@ -23,6 +23,11 @@ The window (lo, hi) is an inclusive exponent range; its floor decides how
 much of a tail gets materialized when a point moves, and computations that
 would need data the window never certified raise WindowTooSmall rather than
 return a number.
+
+The one involution frames know is the sign flip z -> -z (series.sigma0): it
+maps monomials to monomials, so twisted complements, isotropy and invariance
+stay exact.  A curve's involution with linear part -1 is first brought to it
+by krichever.normalize_involution.
 """
 
 from fractions import Fraction
@@ -38,7 +43,7 @@ from .errors import (
     ZgrassError,
 )
 from .linalg import det_ring, det_unit, echelon, nullspace
-from .series import LaurentSeries, residue, sigma0
+from .series import LaurentSeries, pair_sigma, sigma0
 from .symfun import Partition
 
 DEFAULT_WINDOW = (-32, 32)
@@ -328,128 +333,80 @@ class FramePoint:
     def orthogonal(self, sub=None):
         """Orthogonal complement under the residue pairing Res f (s*g) dz.
 
-        sub=None is the plain residue pairing; the sign involution keeps the
-        complement polynomial-type and exact.  A general substitution does
-        not, so the result is then window-approximate with the tail pinned at
-        the window floor.  Either way the complement's charge is minus the
-        charge of the point.
+        sub=None is the plain residue pairing and sub=sigma0() the pairing
+        twisted by the sign flip; both keep the complement polynomial-type
+        and exact.  Any other map is refused: bring an involution to the sign
+        flip with krichever.normalize_involution first.  The complement's
+        charge is minus the charge of the point.
         """
+        flip = sub is not None
+        if flip and not getattr(sub, "sign_flip", False):
+            raise ZgrassError(
+                "frames pair only under the sign flip; bring the involution "
+                "to it with normalize_involution"
+            )
         J = self.tail_j
-        lo, hi = self.window
-        plain = sub is None
-        flip = sub is not None and getattr(sub, "sign_flip", False)
-        if plain or flip:
-            if self.rows:
-                maxtop = max(r.top for r in self.rows)
-                floor_e = -(maxtop + 1)
-            else:
-                floor_e = J
-            out_exact = self.exact
-            if floor_e < lo:
-                raise WindowTooSmall("complement tail starts below the window")
-        else:
-            floor_e = lo
-            out_exact = False
-        cand = list(range(floor_e, J))
-        if plain or flip:
-            mat = [
-                [
-                    (-1 if flip and e % 2 else 1)
-                    * row.coeffs.get(-1 - e, Fraction(0))
-                    for e in cand
-                ]
-                for row in self.rows
+        floor_e = -(max(r.top for r in self.rows) + 1) if self.rows else J
+        if floor_e < self.window[0]:
+            raise WindowTooSmall("complement tail starts below the window")
+        cand = range(floor_e, J)
+        mat = [
+            [
+                (-1 if flip and e % 2 else 1)
+                * row.coeffs.get(-1 - e, Fraction(0))
+                for e in cand
             ]
-        else:
-            img = sub.image
-            prec = (hi - lo) + abs(J) + 4
-            inv = img.invert(prec)
-            mat = []
-            for row in self.rows:
-                entries = []
-                for e in cand:
-                    im = img ** e if e >= 0 else inv ** (-e)
-                    entries.append(residue(row * im))
-                mat.append(entries)
+            for row in self.rows
+        ]
         basis = nullspace(mat, len(cand))
         gens = [
             LaurentSeries({e: v[k] for k, e in enumerate(cand)})
             for v in basis
         ]
         return FramePoint.from_gens(
-            gens, -floor_e, self.window, allow_dependent=True, exact=out_exact
+            gens, -floor_e, self.window, allow_dependent=True, exact=self.exact
         )
 
     # -- the isotropic locus ----------------------------------------------------
 
-    def isotropy(self, sub=None):
-        """Certify that the point pairs to zero with itself under s.
+    def isotropy(self):
+        """Certify that the point pairs to zero with itself under the sign flip.
 
-        Requires charge 0 (so the tail is deep enough that tail-with-tail
-        pairings vanish identically for the sign involution).  Explicit rows
-        are paired with each other and with enough tail monomials to cover
-        their support; the parity of the point is the number of nonnegative
-        pivots mod 2.
+        Requires charge 0.  Explicit rows are paired with each other and with
+        the tail monomials their support reaches; two tail monomials z^-i and
+        z^-j pair to z^-(i+j), never a residue, so the tail needs no check.
+        The parity of the point is the number of nonnegative pivots mod 2.
         """
-        s = sub if sub is not None else sigma0()
         if self.charge != 0:
             raise NonzeroIndex(f"isotropy needs charge 0, got {self.charge}")
+        s = sigma0()
         J = self.tail_j
-        lo, _ = self.window
         parity = sum(1 for p in self.pivots if p >= 0) % 2
-
-        def pair(f, g):
-            return residue(f * g.substitute(s))
-
         for i, r in enumerate(self.rows):
             for k in range(i, len(self.rows)):
-                v = pair(r, self.rows[k])
+                v = pair_sigma(r, self.rows[k], s)
                 if v:
                     return IsotropyReport(False, parity, ("row", i, "row", k, v))
-        flip = getattr(s, "sign_flip", False)
         for i, r in enumerate(self.rows):
             top = r.top if r.top is not None else -(J + 1)
-            j_hi = (top + 1) if flip else -lo
-            for j in range(J + 1, j_hi + 1):
-                v = pair(r, LaurentSeries.monomial(-j))
+            for j in range(J + 1, top + 2):
+                v = pair_sigma(r, LaurentSeries.monomial(-j), s)
                 if v:
                     return IsotropyReport(
                         False, parity, ("row", i, "tail", -j, v)
                     )
-        if not flip:
-            # general substitutions do not preserve monomials, so tail pairs
-            # must be checked inside the window as well
-            for i in range(J + 1, -lo + 1):
-                for j in range(i, -lo + 1):
-                    v = pair(
-                        LaurentSeries.monomial(-i), LaurentSeries.monomial(-j)
-                    )
-                    if v:
-                        return IsotropyReport(
-                            False, parity, ("tail", -i, "tail", -j, v)
-                        )
         return IsotropyReport(True, parity, None)
 
-    def is_sigma_invariant(self, sub=None):
-        """Whether s maps the subspace into itself.
+    def is_sigma_invariant(self):
+        """Whether the sign flip maps the subspace into itself.
 
-        Exact for the sign involution on exact frames; for other maps the
-        verdict is certified on the window only (images are truncated).
+        Exact on exact frames: the flip fixes every tail monomial up to sign,
+        so the rows decide.
         """
-        s = sub if sub is not None else sigma0()
         if not self.exact:
             raise ZgrassError("invariance test needs an exact frame")
-        for r in self.rows:
-            if not self.contains(r.substitute(s)):
-                return False
-        if not getattr(s, "sign_flip", False):
-            lo, _ = self.window
-            prec = (self.window[1] - lo) + abs(self.tail_j) + 4
-            for j in range(self.tail_j + 1, -lo + 1):
-                img = s.image.invert(prec) ** j
-                if not self.contains(img):
-                    return False
-        return True
+        s = sigma0()
+        return all(self.contains(r.substitute(s)) for r in self.rows)
 
     # -- even/odd splitting -----------------------------------------------------
 
@@ -460,7 +417,7 @@ class FramePoint:
         to w^m as well (the odd part is read in the frame z * k[[z^2]]).
         Tail boundaries: floor(J/2) on the even side, ceil(J/2) on the odd.
         """
-        if not self.is_sigma_invariant(sigma0()):
+        if not self.is_sigma_invariant():
             raise NotSigmaInvariant("point is not stable under the sign flip")
         half = Fraction(1, 2)
         ev, od = [], []
@@ -535,16 +492,15 @@ def coset_reps(a, b):
     return [cands[i] for i in kept]
 
 
-def is_prym_flow(g, sub=None):
-    """Whether g is a flow along the involution locus: g * (s*g) = 1.
+def is_prym_flow(g):
+    """Whether g is a flow along the involution locus: g(z) g(-z) = 1.
 
     The defect is required to vanish on the exponent range the data can
     certify, [val(g) + top(g), ..): a truncated odd exponential passes (its
     defect lives entirely below the sound range), while a generic unit like
     1 + a z fails at the first cross term.
     """
-    s = sub if sub is not None else sigma0()
-    defect = g * g.substitute(s) - 1
+    defect = g * g.substitute(sigma0()) - 1
     if not defect.coeffs:
         return True
     v = g.valuation()

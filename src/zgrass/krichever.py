@@ -36,12 +36,12 @@ from .series import LaurentSeries, SubstitutionMap
 
 class CurveData(NamedTuple):
     """Generating data for a span: ring generators, optional module
-    generators (empty means the ring itself), an optional involution of the
-    local coordinate, and a display label."""
+    generators (empty means the ring itself) and a display label.  The
+    generators are read in a coordinate where the involution, if any, is the
+    sign flip (see normalize_involution)."""
 
     ring_gens: tuple
     module_gens: tuple = ()
-    involution: object = None
     label: str = ""
 
 

@@ -189,8 +189,3 @@ def nullspace(rows, ncols):
                 v[p] = -x
         out.append(v)
     return out
-
-
-def rank(rows, ncols=None):
-    _, pivots = rref(rows, ncols)
-    return len(pivots)

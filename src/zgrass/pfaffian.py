@@ -1,8 +1,10 @@
 """Pfaffians of alternating pairing matrices and their square-root checks.
 
-The residue pairing twisted by the sign involution is hemisymmetric, so Gram
-matrices of frame vectors are alternating and carry a Pfaffian -- the natural
-square root of the determinant.  This module computes Pfaffians over any of
+The residue pairing twisted by the sign flip z -> -z is hemisymmetric, so
+Gram matrices of frame vectors are alternating and carry a Pfaffian -- the
+natural square root of the determinant.  The sign flip is the only twist
+used here; another involution is brought to it first by
+krichever.normalize_involution.  This module computes Pfaffians over any of
 the coefficient rings in use (rationals, time polynomials), certifies the
 duality pairing between two transverse points, and decides exactly whether a
 polynomial family of vacuum minors is a perfect square times a scalar.
@@ -58,9 +60,9 @@ def pfaffian(m):
     return pf(tuple(range(n)))
 
 
-def gram_matrix(vectors, sub=None):
-    """Alternating Gram matrix of the twisted residue pairing."""
-    s = sub if sub is not None else sigma0()
+def gram_matrix(vectors):
+    """Alternating Gram matrix of the residue pairing twisted by the flip."""
+    s = sigma0()
     n = len(vectors)
     m = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
@@ -71,8 +73,8 @@ def gram_matrix(vectors, sub=None):
     return m
 
 
-def gram_pfaffian(vectors, sub=None):
-    return pfaffian(gram_matrix(vectors, sub))
+def gram_pfaffian(vectors):
+    return pfaffian(gram_matrix(vectors))
 
 
 class DualityReport(NamedTuple):
@@ -80,14 +82,14 @@ class DualityReport(NamedTuple):
     matrix: list
 
 
-def mti_duality_check(a, b, sub=None):
+def mti_duality_check(a, b):
     """Whether the twisted pairing puts A/(A cap B) and B/(B cap A) in duality.
 
     The matrix pairs the B-side representatives against the A-side ones; the
     verdict is its invertibility (square and with nonzero determinant, taken
     over the fraction field).
     """
-    s = sub if sub is not None else sigma0()
+    s = sigma0()
     reps_a = coset_reps(a, b)
     reps_b = coset_reps(b, a)
     matrix = [

@@ -271,17 +271,18 @@ class LaurentSeries:
 class SubstitutionMap:
     """A change of local coordinate z -> image(z), valuation exactly 1.
 
-    sign_flip marks the involution z -> -z, which gets an exact fast path
-    (no precision is lost flipping signs).  Maps compare by identity.
+    sign_flip marks the involution z -> -z (an image that is exactly -z),
+    which gets an exact fast path (no precision is lost flipping signs).
+    Maps compare by identity.
     """
 
     __slots__ = ("image", "sign_flip")
 
-    def __init__(self, image, sign_flip=False):
+    def __init__(self, image):
         if image.valuation() != 1:
             raise ZgrassError("substitution image must have valuation 1")
         self.image = image
-        self.sign_flip = sign_flip
+        self.sign_flip = image == LaurentSeries({1: -1})
 
     def compose(self, other):
         """The map z -> self(other(z))."""
@@ -299,7 +300,7 @@ class SubstitutionMap:
 
 def sigma0():
     """The sign-flip involution z -> -z."""
-    return SubstitutionMap(LaurentSeries({1: -1}), sign_flip=True)
+    return SubstitutionMap(LaurentSeries({1: -1}))
 
 
 def identity_map():

@@ -8,7 +8,8 @@ same polynomial, which is the consistency this module lets callers check.
 
 The square-root normal form factors the odd-times restriction of tau as
 scale * root^2 through a chosen weight; it exists exactly when tau does not
-vanish at the origin, i.e. when the point has even parity.
+vanish at the origin.  Odd parity is one cause of tau(0) = 0, not the only
+one: z^3 k[z^-3, z^-5] is isotropic of parity 0 and its tau vanishes there.
 
 The Baker series of a point pairs its basis rows with the universal
 polynomial blocks p_i(t): psi(z, t) = z * sum_i u_i(z) p_i(t).  Pairing a
@@ -130,15 +131,20 @@ def taubar(tau, weight, fam="t", point=None):
     """Square-root normal form of the odd-times restriction of tau.
 
     Returns (scale, root) with tau|odd = scale * root^2 through the weight
-    and root(0) = 1.  A tau vanishing at the origin has no such form; that is
-    the odd-parity case and raises.  Passing the source point checks the
-    isotropy hypothesis the factorization belongs to.
+    and root(0) = 1.  The form exists exactly when tau(0) != 0, and a tau
+    that vanishes at the origin raises OddParity.  Odd parity is one cause
+    of that, not the only one: passing the source point checks the isotropy
+    hypothesis the factorization belongs to and reads the parity off it, so
+    that tau(0) = 0 on a parity-0 point raises a plain ZgrassError instead.
     """
-    if point is not None and not point.isotropy().isotropic:
+    iso = point.isotropy() if point is not None else None
+    if iso is not None and not iso.isotropic:
         raise NotIsotropic("square-root normal form needs an isotropic point")
     restricted = odd_part(tau, fam)
     c = restricted.constant_term()
     if c == 0:
+        if iso is not None and iso.parity == 0:
+            raise ZgrassError("tau vanishes at the origin of a parity-0 point")
         raise OddParity("tau vanishes at the origin")
     u = restricted * (Fraction(1) / c)
     return TauBar(c, sqrt_series(u, weight))

@@ -351,6 +351,10 @@ class TestGoldenReports:
         ("orbit_three_row", THREE_ROW, ["orbit"], 0),
         ("orbit_odd_curve_2_5", CURVE_2_5, ["orbit", "--odd"], 0),
         ("pfaffian_six", SIX_BY_SIX, ["pfaffian"], 0),
+        # isotropy, sign-invariance and biduality on charge-0 points
+        ("check_cusp", CUSP, ["check"], 0),
+        ("check_pencil", PENCIL, ["check"], 0),
+        ("check_three_row", THREE_ROW, ["check"], 0),
     ])
     def test_report(self, tmp_path, capsys, name, obj, argv, code):
         path = tmp_path / "input.json"

@@ -1,3 +1,5 @@
+import importlib
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -258,12 +260,17 @@ class TestOrthogonal:
     def test_flip_complement_fixes_isotropic_point(self):
         u = point_a(Fraction(5, 3))
         assert u.orthogonal(sigma0()).same_subspace(u)
+        # a map whose image is exactly -z is the sign flip, however built
+        flip = SubstitutionMap(series({1: -1})).compose(SubstitutionMap(mono(1)))
+        assert u.orthogonal(flip).same_subspace(u)
 
     def test_general_substitution(self):
-        s = SubstitutionMap(series({1: 1, 2: 1}))
-        perp = point_a(1).orthogonal(s)
-        assert perp.charge == 0
-        assert not perp.exact
+        # frames know only the sign flip; the identity map and a bare series
+        # (which has no sign_flip mark) are refused alike
+        for s in (SubstitutionMap(series({1: 1, 2: 1})),
+                  SubstitutionMap(mono(1)), series({1: -1})):
+            with pytest.raises(ZgrassError, match="normalize_involution"):
+                point_a(1).orthogonal(s)
 
 
 class TestIsotropy:
@@ -298,12 +305,6 @@ class TestIsotropy:
         rep = cusp().flow(g).isotropy()
         assert rep.isotropic
         assert rep.parity == 1
-
-    def test_general_substitution_tail_pairs(self):
-        s = SubstitutionMap(series({1: 1, 2: 1}))
-        rep = FramePoint.vacuum((-4, 4)).isotropy(s)
-        assert not rep.isotropic
-        assert rep.witness[0] == "tail"
 
 
 class TestSplitAssemble:
@@ -565,3 +566,55 @@ class TestExchange:
     def test_random_frames(self, u):
         for la, lb in (((), (1,)), ((2,), (1, 1)), ((2, 1), (1,))):
             assert exchange_defect(u, la, lb) == 0
+
+
+@st.composite
+def isotropic_shapes(draw):
+    """span{z^p + c z^(-p-1)} over tail p+1, with one of z^e, z^(-1-e)
+    added for each e < p: charge 0 and isotropic for the sign flip, since
+    z^e pairs only with z^(-1-e) and the row pairs to c - c with itself."""
+    p = draw(st.integers(0, 2))
+    gens = [series({p: 1, -p - 1: draw(COEFFS)})]
+    gens += [mono(draw(st.sampled_from((e, -1 - e)))) for e in range(p)]
+    return FramePoint.from_gens(gens, p + 1)
+
+
+def flipped(u):
+    """The image of the point under z -> -z (the tail maps onto itself)."""
+    s = sigma0()
+    return FramePoint.from_gens(
+        [r.substitute(s) for r in u.rows], u.tail_j, u.window,
+        allow_dependent=True,
+    )
+
+
+class TestSignFlip:
+    @settings(max_examples=300)
+    @given(st.one_of(small_frames(), isotropic_shapes()))
+    def test_twisted_complement_and_isotropy(self, u):
+        twisted = u.orthogonal(sigma0())
+        assert twisted.same_subspace(flipped(u.orthogonal()))
+        if u.charge == 0:
+            assert u.isotropy().isotropic == u.same_subspace(twisted)
+
+
+def test_only_orthogonal_takes_a_substitution():
+    """The sign flip is the frame layer's one involution: of the public
+    callables of grassmann and pfaffian, only FramePoint.orthogonal takes a
+    substitution, to choose the plain or the twisted complement."""
+    takes_sub = []
+    # the package attribute zgrass.pfaffian is the re-exported function
+    for modname in ("zgrass.grassmann", "zgrass.pfaffian"):
+        mod = importlib.import_module(modname)
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__", "") != modname:
+                continue
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                members += [(f"{name}.{k}", getattr(obj, k))
+                            for k in vars(obj) if not k.startswith("_")]
+            for qual, fn in members:
+                if (inspect.isroutine(fn)
+                        and "sub" in inspect.signature(fn).parameters):
+                    takes_sub.append(qual)
+    assert takes_sub == ["FramePoint.orthogonal"]

@@ -4,7 +4,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from zgrass.grassmann import FramePoint
-from zgrass.linalg import det_field, det_ring, det_unit, nullspace, rank, rref
+from zgrass.linalg import det_field, det_ring, det_unit, nullspace, rref
 from zgrass.series import LaurentSeries
 from zgrass.symfun import tconst, tvar
 
@@ -69,7 +69,7 @@ class TestKernel:
         assert nullspace([], 2) == [[1, 0], [0, 1]]
 
     def test_rank(self):
-        assert rank([[1, 2], [2, 4], [0, 1]]) == 2
+        assert len(rref([[1, 2], [2, 4], [0, 1]])[1]) == 2
 
     @given(
         st.lists(

@@ -183,6 +183,12 @@ class TestSubstitute:
         f = L({1: 1}, trunc=3)
         assert f.substitute(sigma0()).trunc == 3
 
+    def test_sign_flip_recognized_by_image(self):
+        assert SubstitutionMap(L({1: -1})).sign_flip
+        assert sigma0().compose(identity_map()).sign_flip
+        assert not SubstitutionMap(L({1: -1}, trunc=4)).sign_flip
+        assert not SubstitutionMap(L({1: -1, 2: 1})).sign_flip
+
     def test_identity(self):
         f = L({-2: 1, 3: 4})
         assert f.substitute(identity_map()) == f

@@ -12,6 +12,7 @@ from zgrass.errors import (
     ZgrassError,
 )
 from zgrass.grassmann import FramePoint
+from zgrass.krichever import CurveData, span_closure
 from zgrass.series import LaurentSeries, residue, sigma0
 from zgrass.symfun import Partition, TimePolynomial, schur, schur_p, tconst, tvar
 from zgrass.tau import (
@@ -222,6 +223,23 @@ class TestTaubar:
         nf = taubar(tau_function(point_a(Fraction(2))), 2,
                     point=point_a(Fraction(2)))
         assert nf.scale == 1
+
+    def test_parity_zero_point_with_vanishing_tau(self):
+        """z^3 k[z^-3, z^-5] is isotropic of parity 0 and still has tau(0) = 0:
+        given the point, the refusal names the vanishing, not odd parity."""
+        u = span_closure(
+            CurveData((mono(-3), mono(-5)), module_gens=(mono(3),)), (-24, 24)
+        )
+        rep = u.isotropy()
+        assert u.exact and u.charge == 0
+        assert rep.isotropic and rep.parity == 0
+        tau = tau_function(u)
+        assert tau.constant_term() == 0
+        with pytest.raises(ZgrassError, match="parity-0") as exc:
+            taubar(tau, 4, point=u)
+        assert not isinstance(exc.value, OddParity)
+        with pytest.raises(OddParity):
+            taubar(tau, 4)
 
 
 ONE = LaurentSeries.one()

@@ -216,6 +216,10 @@ def cmd_bilinear(obj, args):
 
 
 def cmd_hierarchy(obj, args):
+    # each step costs about four times the last: at 6, seconds and megabytes
+    if not 0 <= args.maxsize <= 6:
+        raise ParseError(
+            f"--maxsize must be between 0 and 6, got {args.maxsize}")
     u = point_from_json(obj, _win(args))
     tau = tau_function(u) if u.exact else tau_function(u, cap=args.weight)
     entries = constraint_suite(tau, args.maxsize)
@@ -334,10 +338,17 @@ def cmd_family_square(obj, args):
     try:
         nf = taubar(tau, weight)
     except OddParity as exc:
-        rep["diagnostic"] = f"odd parity: {exc}"
+        # odd flows keep the base's isotropy and parity, so they name the cause
+        iso = start.isotropy() if start.charge == 0 else None
+        if iso is None or not iso.isotropic:
+            rep["diagnostic"] = cause = str(exc)
+        elif iso.parity:
+            rep["diagnostic"] = f"odd parity: {exc}"
+            cause = f"{exc} (odd parity)"
+        else:
+            rep["diagnostic"] = cause = f"{exc} of a parity-0 point"
         checks.append(_skip("square-root-roundtrip",
-                            "tau vanishes at the origin (odd parity); "
-                            "no square-root normal form exists"))
+                            f"{cause}; no square-root normal form exists"))
         return rep, checks
     diff = nf.root * nf.root * nf.scale - odd_part(tau)
     rep["root"] = poly_to_json(nf.root)
@@ -382,7 +393,7 @@ def _parser():
                            help="weight bound for series and polynomials")
         if maxsize:
             s.add_argument("--maxsize", type=int, default=4, metavar="N",
-                           help="largest diagram weight in the suite")
+                           help="largest diagram weight in the suite, 0 to 6")
         if orbit:
             s.add_argument("--nmax", type=int, default=12, metavar="N",
                            help="flow truncation order for the profile")

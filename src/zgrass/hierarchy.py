@@ -28,7 +28,10 @@ at most once and read by each constraint that needs it, so GR0, P0TRIPLE and
 CURVE are sums of products of table entries.  The P0TRIPLE inner sum over e2
 is kept per (lam2, lam3, level) as a convolution of two table rows, so each
 triple costs one short sum over even e1.  The table fills on first use and
-is dropped when the call returns.
+is dropped when the call returns; extraction_operator, like the Schur
+polynomials it reads, is memoized with functools.cache for the life of the
+process, and its shared values are never mutated.  Tau is read in the time
+family "t"; a tau with variables of another family is refused.
 
 For a weight-capped tau a constraint is evaluated only when every extraction
 it needs lies within the cap; otherwise it raises UnsoundTruncation (the
@@ -37,6 +40,7 @@ the table fills lazily, nothing beyond a sound constraint's needs is paired.
 """
 
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from typing import NamedTuple
 
@@ -56,43 +60,32 @@ P0TRIPLE = "P0TRIPLE"
 CURVE = "CURVE"
 FAMILIES = (GR0, P0TRIPLE, CURVE)
 
-_op_cache = {}
 
-
-def _top(lam):
-    return lam[0] if len(lam) else 0
-
-
-def extraction_operator(lam, e, negate_p=True, fam="t"):
+@cache
+def extraction_operator(lam, e, negate_p=True):
     """sum over beta - alpha = e of p_beta * D_{lam, alpha}, one side negated.
 
     negate_p=True negates the times of the p factor, otherwise of the strip
     factor.  Homogeneous of weight |lam| + e; zero when e < -lam_1.
     """
-    lam = Partition(lam)
-    key = (lam.parts, e, negate_p, fam)
-    if key not in _op_cache:
-        acc = TimePolynomial()
-        for alpha in range(max(0, -e), _top(lam) + 1):
-            beta = alpha + e
-            p = schur_p(beta, fam)
-            d = strip_sum(lam, alpha, fam)
-            if negate_p:
-                term = p.negate_times() * d
-            else:
-                term = p * d.negate_times()
-            acc = acc + term
-        _op_cache[key] = acc
-    return _op_cache[key]
+    acc = TimePolynomial()
+    for alpha in range(max(0, -e), Partition(lam).top + 1):
+        # "t" stays positional: the caches key on how a call is spelled
+        p = schur_p(alpha + e, "t")
+        d = strip_sum(lam, alpha, "t")
+        if negate_p:
+            acc += p.negate_times() * d
+        else:
+            acc += p * d.negate_times()
+    return acc
 
 
-def _pure_family(tau, fam):
+def _pure_family(tau):
     for m in tau.terms:
         for (f, _), _ in m:
-            if f != fam:
+            if f != "t":
                 raise ZgrassError(
-                    f"tau mixes variable families ({f!r} vs {fam!r})"
-                )
+                    f"tau mixes variable families ({f!r} vs 't')")
 
 
 def _check_sound(tau, needed):
@@ -109,20 +102,6 @@ _SHAPES = {
     P0TRIPLE: (2, (False, False, True)),
     CURVE: (0, (True,)),
 }
-
-
-class _Diagram(NamedTuple):
-    parts: tuple
-    weight: int
-    top: int
-
-
-def _diagrams(lams):
-    out = []
-    for lam in lams:
-        parts = Partition(lam).parts
-        out.append(_Diagram(parts, sum(parts), _top(parts)))
-    return out
 
 
 def _needed_weight(family, ds):
@@ -146,12 +125,11 @@ class _Table:
     sound constraint asks for.
     """
 
-    def __init__(self, tau, fam, route):
+    def __init__(self, tau, route):
         if route not in ("hall", "diff"):
             raise ZgrassError(f"unknown evaluation route {route!r}")
-        _pure_family(tau, fam)
+        _pure_family(tau)
         self.tau = tau
-        self.fam = fam
         self.route = route
         self.values = {}
         self.tails = {}
@@ -160,7 +138,7 @@ class _Table:
         key = (parts, e, negate_p)
         v = self.values.get(key)
         if v is None:
-            op = extraction_operator(parts, e, negate_p, self.fam)
+            op = extraction_operator(parts, e, negate_p)
             if not op:
                 v = Fraction(0)
             elif self.route == "hall":
@@ -207,49 +185,50 @@ def _evaluate(family, ds, table, k=0, rest=None):
     return out
 
 
-def _constraint(family, lams, tau, fam, route):
-    table = _Table(tau, fam, route)
-    ds = _diagrams(lams)
+def _constraint(family, lams, tau, route):
+    table = _Table(tau, route)
+    ds = [Partition(lam) for lam in lams]
     _check_sound(tau, _needed_weight(family, ds))
     return _evaluate(family, ds, table)
 
 
 def gr0_needed_weight(lam1, lam2):
     """Largest tau weight any term of the pair constraint touches."""
-    return _needed_weight(GR0, _diagrams((lam1, lam2)))
+    return _needed_weight(GR0, (Partition(lam1), Partition(lam2)))
 
 
-def gr0_constraint(lam1, lam2, tau, fam="t", route="hall"):
+def gr0_constraint(lam1, lam2, tau, route="hall"):
     """Quadratic constraint of the pair of diagrams on tau.
 
     Sum over even e of extraction(lam1, e) * extraction(lam2, 1 - e) with
     the p factors negated; e ranges over [-lam1_1, 1 + lam2_1], outside of
     which one factor vanishes identically.
     """
-    return _constraint(GR0, (lam1, lam2), tau, fam, route)
+    return _constraint(GR0, (lam1, lam2), tau, route)
 
 
 def p0_needed_weight(lam1, lam2, lam3):
-    return _needed_weight(P0TRIPLE, _diagrams((lam1, lam2, lam3)))
+    return _needed_weight(P0TRIPLE,
+                          [Partition(x) for x in (lam1, lam2, lam3)])
 
 
-def p0_triple_constraint(lam1, lam2, lam3, tau, fam="t", route="hall"):
+def p0_triple_constraint(lam1, lam2, lam3, tau, route="hall"):
     """Cubic constraint of the diagram triple on tau.
 
     Sum over level triples (e1, e2, e3) with e1 + e2 + e3 = 2 and e1 even.
     The first two slots negate the strip factor and the third negates the p
     factor.
     """
-    return _constraint(P0TRIPLE, (lam1, lam2, lam3), tau, fam, route)
+    return _constraint(P0TRIPLE, (lam1, lam2, lam3), tau, route)
 
 
-def curve_constraint(lam, tau, fam="t", route="hall"):
+def curve_constraint(lam, tau, route="hall"):
     """Linear constraint of one diagram: the diagonal level-0 extraction.
 
     Zero for every diagram exactly when the point's subspace is closed under
     multiplication by its own ring of functions.
     """
-    return _constraint(CURVE, (lam,), tau, fam, route)
+    return _constraint(CURVE, (lam,), tau, route)
 
 
 class SuiteEntry(NamedTuple):
@@ -260,7 +239,7 @@ class SuiteEntry(NamedTuple):
     status: str  # "zero" | "nonzero" | "unsound"
 
 
-def constraint_suite(tau, maxsize, families=FAMILIES, fam="t", route="hall"):
+def constraint_suite(tau, maxsize, families=FAMILIES, route="hall"):
     """Evaluate every constraint with diagrams of weight at most maxsize.
 
     Entries come back in canonical order: family (GR0, P0TRIPLE, CURVE),
@@ -269,20 +248,18 @@ def constraint_suite(tau, maxsize, families=FAMILIES, fam="t", route="hall"):
     than the cap; values are never approximated.
     """
     lams = partitions_upto(maxsize)
-    ds = _diagrams(lams)
-    table = _Table(tau, fam, route)
+    table = _Table(tau, route)
     out = []
     for family in FAMILIES:
         if family not in families:
             continue
         arity = len(_SHAPES[family][1])
-        for diagrams, picked in zip(product(lams, repeat=arity),
-                                    product(ds, repeat=arity)):
-            needed = _needed_weight(family, picked)
+        for diagrams in product(lams, repeat=arity):
+            needed = _needed_weight(family, diagrams)
             if tau.maxweight is not None and needed > tau.maxweight:
                 v = None
             else:
-                v = _evaluate(family, picked, table)
+                v = _evaluate(family, diagrams, table)
             status = ("unsound" if v is None
                       else "zero" if v == 0 else "nonzero")
             out.append(SuiteEntry(family, diagrams, v, needed, status))

@@ -10,10 +10,13 @@ parameters -- coexist in one arithmetic.
 The Schur polynomial chi_lam lives here, expanded through the coefficients
 p_n of exp(sum_k t_k z^k), together with the strip sums D_{lam,alpha}, the
 Hall pairing in these coordinates, and the scaled-derivative action f(d~)
-with d~_k = (1/k) d/dt_k.
+with d~_k = (1/k) d/dt_k.  schur_p, schur and strip_sum are memoized with
+functools.cache for the life of the process: their values are shared and
+must never be mutated in place (nothing does).
 """
 
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 from .errors import InsufficientPrecision, ParseError, ZgrassError
@@ -21,9 +24,9 @@ from .linalg import det_ring
 
 
 class Partition:
-    """A weakly decreasing tuple of positive integers."""
+    """Weakly decreasing positive integers, with their sum and first part."""
 
-    __slots__ = ("parts",)
+    __slots__ = ("parts", "weight", "top")
 
     def __init__(self, parts=()):
         if isinstance(parts, Partition):
@@ -34,10 +37,8 @@ class Partition:
         if any(ps[i] < ps[i + 1] for i in range(len(ps) - 1)):
             raise ParseError(f"parts must be weakly decreasing: {ps}")
         self.parts = ps
-
-    @property
-    def weight(self):
-        return sum(self.parts)
+        self.weight = sum(ps)
+        self.top = ps[0] if ps else 0
 
     def key(self):
         """Total order: by weight, then lexicographically on the parts."""
@@ -102,8 +103,7 @@ def partitions_in_box(maxlen, maxwidth):
             rec(i + 1, p, acc + [p])
 
     rec(0, maxwidth, [])
-    seen = sorted(set(out), key=Partition.key)
-    return seen
+    return sorted(out, key=Partition.key)
 
 
 def horizontal_strips(lam, alpha):
@@ -129,7 +129,7 @@ def horizontal_strips(lam, alpha):
             rec(i + 1, rem, acc + [mu])
 
     rec(0, alpha, [])
-    return tuple(sorted(set(found), key=Partition.key))
+    return tuple(sorted(found, key=Partition.key))
 
 
 # -- time polynomials --------------------------------------------------------
@@ -391,51 +391,31 @@ def tconst(c):
 
 # -- Schur calculus ----------------------------------------------------------
 
-_p_cache = {}
-_schur_cache = {}
-_strip_cache = {}
-
-
+@cache
 def schur_p(n, fam="t"):
     """Coefficient p_n of z^n in exp(sum_k t_k z^k); zero for n < 0."""
-    if n < 0:
-        return TimePolynomial()
-    key = (n, fam)
-    if key not in _p_cache:
-        if n == 0:
-            _p_cache[key] = tconst(1)
-        else:
-            acc = TimePolynomial()
-            for k in range(1, n + 1):
-                acc = acc + k * tvar(k, fam) * schur_p(n - k, fam)
-            _p_cache[key] = acc * Fraction(1, n)
-    return _p_cache[key]
+    if n <= 0:
+        return tconst(1) if n == 0 else TimePolynomial()
+    acc = TimePolynomial()
+    for k in range(1, n + 1):
+        acc = acc + k * tvar(k, fam) * schur_p(n - k, fam)
+    return acc * Fraction(1, n)
 
 
+@cache
 def schur(lam, fam="t"):
     """Schur polynomial chi_lam = det(p_{lam_i - i + j}) in the times."""
     lam = Partition(lam)
-    key = (lam.parts, fam)
-    if key not in _schur_cache:
-        n = len(lam)
-        rows = [
-            [schur_p(lam[i] - (i + 1) + (j + 1), fam) for j in range(n)]
-            for i in range(n)
-        ]
-        _schur_cache[key] = det_ring(rows) if n else tconst(1)
-    return _schur_cache[key]
+    rows = [[schur_p(p - i + j, fam) for j in range(len(lam))]
+            for i, p in enumerate(lam)]
+    return det_ring(rows) if rows else tconst(1)
 
 
+@cache
 def strip_sum(lam, alpha, fam="t"):
     """Sum of chi_mu over horizontal alpha-strips lam/mu."""
-    lam = Partition(lam)
-    key = (lam.parts, alpha, fam)
-    if key not in _strip_cache:
-        acc = TimePolynomial()
-        for mu in horizontal_strips(lam, alpha):
-            acc = acc + schur(mu, fam)
-        _strip_cache[key] = acc
-    return _strip_cache[key]
+    return sum((schur(mu, fam) for mu in horizontal_strips(lam, alpha)),
+               TimePolynomial())
 
 
 # -- Hall pairing and scaled derivatives --------------------------------------

@@ -32,6 +32,10 @@ THREE_ROW = {"kind": "point", "gens": [
 CURVE_2_5 = {"kind": "curve", "ring_gens": [{"-2": "1"}, {"-5": "1"}],
              "label": "<2,5>", "window": [-24, 24]}
 TWO_FAMILY = {"kind": "family", "flows": {"1": "a", "3": "b"}, "floor": -10}
+# odd flows of z^3 k[z^-3, z^-5], an isotropic point of parity 0 whose tau
+# vanishes at the origin
+PARITY0_FAMILY = dict(TWO_FAMILY, floor=-12, base={
+    "gens": [{"3": "1"}, {"0": "1"}, {"-2": "1"}, {"-3": "1"}], "tail": 4})
 # the alternating matrix of test_pfaffian's test_six_by_six_square
 SIX_BY_SIX = {"kind": "matrix", "entries": [
     ["0", "1", "-2", "3", "1", "0"], ["-1", "0", "2", "1", "-1", "4"],
@@ -171,6 +175,16 @@ class TestHierarchyCommand:
         assert rep["report"]["verdicts"]["GR0"]["verdict"] == "fail"
         assert rep["report"]["verdicts"]["GR0"]["failures"]
 
+    def test_maxsize_range(self, tmp_path, capsys):
+        for maxsize in ("-1", "7"):
+            code, rep = run(tmp_path, CUSP, "hierarchy", "--maxsize", maxsize,
+                            capsys=capsys)
+            assert code == 2
+            assert rep["error"] == (
+                f"ParseError: --maxsize must be between 0 and 6, got {maxsize}")
+        code, rep = run(tmp_path, CUSP, "hierarchy", "--maxsize", "0",
+                        capsys=capsys)
+        assert code == 0 and len(rep["report"]["suite"]) == 3
 
     def test_pencil_report_pinned(self, tmp_path, capsys):
         code, rep = run(tmp_path, PENCIL, "hierarchy", "--maxsize", "1",
@@ -321,6 +335,27 @@ class TestFamilySquare:
                       "--strict", capsys=capsys)
         assert code == 1
 
+    def test_parity_zero_base_names_the_cause(self, tmp_path, capsys):
+        code, rep = run(tmp_path, PARITY0_FAMILY, "family-square",
+                        "--weight", "4", capsys=capsys)
+        cause = "tau vanishes at the origin of a parity-0 point"
+        assert code == 0 and rep["report"]["diagnostic"] == cause
+        assert [c["detail"] for c in rep["checks"]
+                if c["name"] == "square-root-roundtrip"] == [
+            f"{cause}; no square-root normal form exists"]
+
+    def test_other_bases_claim_no_parity(self, tmp_path, capsys):
+        # a charge -1 base, and a charge-0 base with one nonnegative pivot
+        # whose two rows pair to -1 under the flip: no isotropic parity
+        for base in ({"gens": [{"-1": "1", "0": "1"}], "tail": 2},
+                     {"gens": [{"2": "1", "-1": "1"}, {"0": "1"}], "tail": 2}):
+            code, rep = run(tmp_path, dict(FAMILY, base=base), "family-square",
+                            "--weight", "4", capsys=capsys)
+            assert code == 0
+            assert rep["report"]["diagnostic"] == "tau vanishes at the origin"
+            assert "tau vanishes at the origin; no square-root normal form " \
+                "exists" in [c["detail"] for c in rep["checks"]]
+
     def test_numeric_flows(self, tmp_path, capsys):
         fam = {"kind": "family", "flows": {"1": "1/2", "3": "-2"},
                "floor": -8}
@@ -355,6 +390,11 @@ class TestGoldenReports:
         ("check_cusp", CUSP, ["check"], 0),
         ("check_pencil", PENCIL, ["check"], 0),
         ("check_three_row", THREE_ROW, ["check"], 0),
+        # every GR0, P0TRIPLE and CURVE value with diagrams up to weight 2
+        ("hierarchy_cusp", CUSP, ["hierarchy", "--maxsize", "2"], 0),
+        ("hierarchy_three_row", THREE_ROW, ["hierarchy", "--maxsize", "2"], 1),
+        ("family_square_parity0", PARITY0_FAMILY,
+         ["family-square", "--weight", "4"], 0),
     ])
     def test_report(self, tmp_path, capsys, name, obj, argv, code):
         path = tmp_path / "input.json"

@@ -1,10 +1,14 @@
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import zgrass
 from zgrass.errors import InsufficientPrecision, ParseError, ZgrassError
+from zgrass.hierarchy import extraction_operator
 from zgrass.symfun import (
     Partition,
     TimePolynomial,
@@ -35,7 +39,10 @@ class TestPartition:
             Partition((2, -1))
 
     def test_weight_and_order(self):
-        assert Partition((2, 1)).weight == 3
+        for parts, weight, top in (((2, 1), 3, 2), ((), 0, 0),
+                                   ((3, 1, 1), 5, 3)):
+            lam = Partition(parts)
+            assert (lam.weight, lam.top) == (weight, top)
         assert Partition((1, 1)) < Partition((2,))
         assert Partition(()) < Partition((1,))
 
@@ -110,6 +117,35 @@ class TestSchur:
     def test_evaluate(self):
         assert schur((2,)).evaluate({("t", 1): 2, ("t", 2): 3}) == 5
         assert schur((2, 1)).evaluate({("t", 1): 3}) == 9
+
+
+class TestMemo:
+    """The Schur calculus memoizes through functools.cache, one idiom."""
+
+    def test_cache_info_counts_hits(self):
+        for fn, args in ((schur_p, (3, "t")), (schur, ((2, 1), "t")),
+                         (strip_sum, ((2, 1), 1, "t")),
+                         (extraction_operator, ((2, 1), 0, True))):
+            fn(*args)
+            hits = fn.cache_info().hits
+            assert fn(*args) is fn(*args)
+            assert fn.cache_info().hits == hits + 2
+
+    def test_tuple_and_partition_share_an_entry(self):
+        lam = Partition((2, 1))
+        assert schur((2, 1)) is schur(lam)
+        assert strip_sum((2, 1), 1) is strip_sum(lam, 1)
+        assert extraction_operator((2, 1), 0, True) is extraction_operator(
+            lam, 0, True)
+
+    def test_no_module_memo_dicts(self):
+        # process-lifetime memos are functools.cache wrappers, not dicts
+        found = []
+        for info in pkgutil.walk_packages(zgrass.__path__, "zgrass."):
+            mod = importlib.import_module(info.name)
+            found += [f"{info.name}.{name}" for name, v in vars(mod).items()
+                      if name.endswith("_cache") and isinstance(v, dict)]
+        assert found == []
 
 
 class TestHall:

@@ -156,15 +156,13 @@ def cmd_check(obj, args):
 def cmd_tau(obj, args):
     u = point_from_json(obj, _win(args))
     weight = args.weight
-    tau = tau_function(u) if u.exact else tau_function(u, cap=weight)
+    tau = tau_function(u)
     rep = {"charge": u.charge, "tau": poly_to_json(tau.with_cap(weight))}
-    checks = []
-    if u.exact:
-        probe = min(weight, 4)
-        moved, capped = tau_flow_consistency(u, probe)
-        checks.append(_check(
-            "flow-consistency", moved == capped,
-            f"leading minor along the universal flow, weight {probe}"))
+    probe = min(weight, 4)
+    moved, capped = tau_flow_consistency(u, probe)
+    checks = [_check(
+        "flow-consistency", moved == capped,
+        f"leading minor along the universal flow, weight {probe}")]
     return rep, checks
 
 
@@ -199,7 +197,7 @@ def cmd_bilinear(obj, args):
     }
     flat1 = [v for row in first for v in row]
     flat2 = [v for row in second for v in row]
-    # entry (i, j) pairs p_{i+1}(t) with p_{j+1}(t'): it sits at weight i+j+2
+    # entry (i, j) pairs p_{i+1}(t) with p_{j+1}(s): it sits at weight i+j+2
     low = min((i + j + 2 for i, row in enumerate(second)
                for j, v in enumerate(row) if v), default=None)
     sign = "sign-residues-match-invariance"
@@ -216,13 +214,8 @@ def cmd_bilinear(obj, args):
 
 
 def cmd_hierarchy(obj, args):
-    # each step costs about four times the last: at 6, seconds and megabytes
-    if not 0 <= args.maxsize <= 6:
-        raise ParseError(
-            f"--maxsize must be between 0 and 6, got {args.maxsize}")
     u = point_from_json(obj, _win(args))
-    tau = tau_function(u) if u.exact else tau_function(u, cap=args.weight)
-    entries = constraint_suite(tau, args.maxsize)
+    entries = constraint_suite(tau_function(u), args.maxsize)
     verdicts = suite_verdict(entries)
     rep = {
         "suite": [
@@ -259,8 +252,6 @@ def cmd_hierarchy(obj, args):
 
 
 def cmd_orbit(obj, args):
-    if args.nmax < 1:
-        raise ParseError(f"--nmax must be at least 1, got {args.nmax}")
     if obj["kind"] == "curve":
         data, win = curve_from_json(obj, _win(args))
         u = span_closure(data, win)
@@ -309,7 +300,7 @@ def cmd_family_square(obj, args):
         e: c.with_cap(weight) if isinstance(c, TimePolynomial) else c
         for e, c in g.coeffs.items()
     }))
-    tau = tau_function(moved, "t", cap=weight)
+    tau = tau_function(moved, cap=weight)
     rep = {
         "flows": {str(k): c if isinstance(c, str) else frac_str(c)
                   for k, c in sorted(flows.items())},
@@ -374,6 +365,21 @@ _COMMANDS = {
 }
 
 
+# the numeric options' ranges bound every request's cost, which grows
+# steeply past them (one Xeon core): bilinear on the 3-row point takes 2 s
+# at weight 24 and 18 s at 32; each maxsize step costs about four times the
+# last, seconds and megabytes at 6; orbit on <3,4,5> takes 1.3 s at nmax 64
+# and 4 s at 96
+_RANGES = {"weight": (0, 24), "maxsize": (0, 6), "nmax": (1, 64)}
+
+
+def _check_ranges(args):
+    for key, (lo, hi) in _RANGES.items():
+        v = getattr(args, key, lo)
+        if not lo <= v <= hi:
+            raise ParseError(f"--{key} must be between {lo} and {hi}, got {v}")
+
+
 def _parser():
     p = argparse.ArgumentParser(
         prog="zgrass",
@@ -383,20 +389,25 @@ def _parser():
                    version=f"zgrass {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add(name, summary, weight=False, maxsize=False, orbit=False):
+    def add(name, summary, window=True, weight=False, maxsize=False,
+            orbit=False):
         s = sub.add_parser(name, help=summary, description=summary)
         s.add_argument("file", help="JSON input file")
-        s.add_argument("--window", type=int, default=32, metavar="R",
-                       help="exponent radius when the file sets no window")
+        if window:
+            s.add_argument("--window", type=int, default=32, metavar="R",
+                           help="exponent radius when the file sets no window")
         if weight:
             s.add_argument("--weight", type=int, default=8, metavar="W",
-                           help="weight bound for series and polynomials")
+                           help="weight bound for series and polynomials, "
+                           "%d to %d" % _RANGES["weight"])
         if maxsize:
             s.add_argument("--maxsize", type=int, default=4, metavar="N",
-                           help="largest diagram weight in the suite, 0 to 6")
+                           help="largest diagram weight in the suite, "
+                           "%d to %d" % _RANGES["maxsize"])
         if orbit:
             s.add_argument("--nmax", type=int, default=12, metavar="N",
-                           help="flow truncation order for the profile")
+                           help="flow truncation order for the profile, "
+                           "%d to %d" % _RANGES["nmax"])
             s.add_argument("--odd", action="store_true",
                            help="restrict to odd-index flows")
         s.add_argument("--strict", action="store_true",
@@ -409,11 +420,11 @@ def _parser():
     add("tau", "tau polynomial of a point", weight=True)
     add("baker", "Baker series blocks of a point", weight=True)
     add("bilinear", "bilinear residuals of a point", weight=True)
-    add("hierarchy", "constraint suite of a point", weight=True, maxsize=True)
+    add("hierarchy", "constraint suite of a point", maxsize=True)
     add("orbit", "flow-orbit profile of a point or curve span", orbit=True)
-    add("pfaffian", "Pfaffian of an alternating matrix")
+    add("pfaffian", "Pfaffian of an alternating matrix", window=False)
     add("family-square", "flow a family out of the vacuum and take the "
-        "square-root normal form", weight=True)
+        "square-root normal form", window=False, weight=True)
     return p
 
 
@@ -440,6 +451,7 @@ def main(argv=None):
     base = {"command": args.command, "config": _config(args),
             "tool": "zgrass", "version": __version__}
     try:
+        _check_ranges(args)
         obj = load_input(args.file)
         if obj["kind"] not in kinds:
             raise ParseError(

@@ -70,9 +70,9 @@ def extraction_operator(lam, e, negate_p=True):
     """
     acc = TimePolynomial()
     for alpha in range(max(0, -e), Partition(lam).top + 1):
-        # "t" stays positional: the caches key on how a call is spelled
+        # "t" stays positional: schur_p's cache keys on how a call is spelled
         p = schur_p(alpha + e, "t")
-        d = strip_sum(lam, alpha, "t")
+        d = strip_sum(lam, alpha)
         if negate_p:
             acc += p.negate_times() * d
         else:
@@ -239,7 +239,7 @@ class SuiteEntry(NamedTuple):
     status: str  # "zero" | "nonzero" | "unsound"
 
 
-def constraint_suite(tau, maxsize, families=FAMILIES, route="hall"):
+def constraint_suite(tau, maxsize, route="hall"):
     """Evaluate every constraint with diagrams of weight at most maxsize.
 
     Entries come back in canonical order: family (GR0, P0TRIPLE, CURVE),
@@ -251,8 +251,6 @@ def constraint_suite(tau, maxsize, families=FAMILIES, route="hall"):
     table = _Table(tau, route)
     out = []
     for family in FAMILIES:
-        if family not in families:
-            continue
         arity = len(_SHAPES[family][1])
         for diagrams in product(lams, repeat=arity):
             needed = _needed_weight(family, diagrams)

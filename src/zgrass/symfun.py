@@ -4,15 +4,15 @@ The time variables t_k carry weight k; a TimePolynomial may be truncated at a
 maximum total weight, in which case heavier monomials are unknown rather than
 zero (the same reading as LaurentSeries truncation, with weight in place of
 exponent).  Variables are keyed by a (family, index) pair so that several
-independent sets of times -- flow times, primed times, deformation
-parameters -- coexist in one arithmetic.
+independent sets of variables coexist in one arithmetic: the times t, the
+second times s of the bilinear residue, and named flow parameters.
 
-The Schur polynomial chi_lam lives here, expanded through the coefficients
-p_n of exp(sum_k t_k z^k), together with the strip sums D_{lam,alpha}, the
-Hall pairing in these coordinates, and the scaled-derivative action f(d~)
-with d~_k = (1/k) d/dt_k.  schur_p, schur and strip_sum are memoized with
-functools.cache for the life of the process: their values are shared and
-must never be mutated in place (nothing does).
+The Schur polynomial chi_lam in the times t lives here, expanded through
+the p_n of exp(sum_k t_k z^k), with the strip sums D_{lam,alpha}, the Hall
+pairing in these coordinates, and the scaled-derivative action f(d~) with
+d~_k = (1/k) d/dt_k; only tvar and schur_p take another family.  schur_p,
+schur and strip_sum are memoized with functools.cache for the life of the
+process: their values are shared and never mutated in place.
 """
 
 from fractions import Fraction
@@ -403,18 +403,18 @@ def schur_p(n, fam="t"):
 
 
 @cache
-def schur(lam, fam="t"):
-    """Schur polynomial chi_lam = det(p_{lam_i - i + j}) in the times."""
+def schur(lam):
+    """Schur polynomial chi_lam = det(p_{lam_i - i + j}) in the times t."""
     lam = Partition(lam)
-    rows = [[schur_p(p - i + j, fam) for j in range(len(lam))]
+    rows = [[schur_p(p - i + j, "t") for j in range(len(lam))]
             for i, p in enumerate(lam)]
     return det_ring(rows) if rows else tconst(1)
 
 
 @cache
-def strip_sum(lam, alpha, fam="t"):
+def strip_sum(lam, alpha):
     """Sum of chi_mu over horizontal alpha-strips lam/mu."""
-    return sum((schur(mu, fam) for mu in horizontal_strips(lam, alpha)),
+    return sum((schur(mu) for mu in horizontal_strips(lam, alpha)),
                TimePolynomial())
 
 

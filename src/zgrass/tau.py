@@ -1,10 +1,11 @@
 """Tau polynomials of frame points, square-root normal forms, Baker series.
 
-The tau polynomial of a point collects its minors against the Schur basis:
-tau_U = sum over partitions of plucker(lam) * schur_lam.  For an exact frame
-the sum is finite -- the support sits in an explicit box -- and flowing the
-point by the universal unit exp(sum t_k z^-k) turns the vacuum minor into the
-same polynomial, which is the consistency this module lets callers check.
+The tau polynomial of a point collects its minors against the Schur basis
+in the times t: tau_U = sum over partitions of plucker(lam) * schur_lam.
+For an exact frame the sum is finite -- the support sits in an explicit
+box -- and flowing the point by the universal unit exp(sum t_k z^-k) turns
+the vacuum minor into the same polynomial, which is the consistency this
+module lets callers check.
 
 The square-root normal form factors the odd-times restriction of tau as
 scale * root^2 through a chosen weight; it exists exactly when tau does not
@@ -18,9 +19,9 @@ residuals: the first vanishes identically by duality, and the second --
 evaluated at -z -- vanishes precisely on sign-invariant points, so its
 lowest monomial is an honest obstruction witness.  Both residual
 polynomials are read off the frame-level residual matrices M as
-sum_ij M[i][j] p_{i+1}(t) p_{j+1}(t'); assembling the two Baker series and
-taking the residue of their product is the slower route the tests keep as
-an oracle.
+sum_ij M[i][j] p_{i+1}(t) p_{j+1}(s), in the second times s (the paper's
+t'); assembling the two Baker series and taking the residue of their
+product is the slower route the tests keep as an oracle.
 """
 
 from fractions import Fraction
@@ -61,8 +62,8 @@ def plucker_support(u):
     return out
 
 
-def tau_function(u, fam="t", cap=None):
-    """The tau polynomial of the point in the times of one family.
+def tau_function(u, cap=None):
+    """The tau polynomial of the point in the times t.
 
     Exact frames give the exact finite polynomial (optionally capped
     afterwards).  Approximate frames require a cap and sum over all
@@ -71,7 +72,7 @@ def tau_function(u, fam="t", cap=None):
     if u.exact:
         acc = TimePolynomial()
         for lam, v in plucker_support(u):
-            acc = acc + schur(lam.parts, fam) * v
+            acc = acc + schur(lam.parts) * v
         return acc if cap is None else acc.with_cap(cap)
     if cap is None:
         raise ZgrassError("tau of an approximate frame needs a weight cap")
@@ -79,37 +80,37 @@ def tau_function(u, fam="t", cap=None):
     for lam in partitions_upto(cap):
         v = u.plucker(lam)
         if v:
-            acc = acc + schur(lam.parts, fam).with_cap(cap) * v
+            acc = acc + schur(lam.parts).with_cap(cap) * v
     return acc
 
 
-def times_flow(cap, floor, fam="t"):
+def times_flow(cap, floor):
     """exp(sum_k t_k z^-k) down to the floor, coefficient weights capped.
 
     The z^-n coefficient is the complete homogeneous generating polynomial
-    p_n of the family, which has weight n; since p_n is homogeneous, every
+    p_n of the times, which has weight n; since p_n is homogeneous, every
     coefficient past the cap is dropped entirely.
     """
     deep = min(cap, -floor)
     return LaurentSeries(
-        {-n: schur_p(n, fam).with_cap(cap) for n in range(0, deep + 1)}
+        {-n: schur_p(n, "t").with_cap(cap) for n in range(0, deep + 1)}
     )
 
 
-def tau_flow_consistency(u, cap, fam="t"):
+def tau_flow_consistency(u, cap):
     """(vacuum minor after the universal flow, capped tau) -- should agree.
 
     A rational minor is lifted into the capped ring, so both sides compare
     as polynomials known through the same weight.
     """
-    minor = u.flow(times_flow(cap, u.window[0], fam)).plucker(())
+    minor = u.flow(times_flow(cap, u.window[0])).plucker(())
     if not isinstance(minor, TimePolynomial):
         minor = tconst(minor).with_cap(cap)
-    return minor, tau_function(u, fam, cap=cap)
+    return minor, tau_function(u, cap=cap)
 
 
-def odd_part(tau, fam="t"):
-    """Restriction to the odd-index times: t_2 = t_4 = ... = 0 in one family.
+def odd_part(tau):
+    """Restriction to the odd-index times: t_2 = t_4 = ... = 0.
 
     Variables of other families (parameters, second time sets) pass through
     untouched.
@@ -117,7 +118,7 @@ def odd_part(tau, fam="t"):
     data = {
         m: c
         for m, c in tau.terms.items()
-        if all(f != fam or k % 2 == 1 for (f, k), _ in m)
+        if all(f != "t" or k % 2 == 1 for (f, k), _ in m)
     }
     return TimePolynomial(data, tau.maxweight)
 
@@ -127,7 +128,7 @@ class TauBar(NamedTuple):
     root: TimePolynomial
 
 
-def taubar(tau, weight, fam="t", point=None):
+def taubar(tau, weight, point=None):
     """Square-root normal form of the odd-times restriction of tau.
 
     Returns (scale, root) with tau|odd = scale * root^2 through the weight
@@ -140,7 +141,7 @@ def taubar(tau, weight, fam="t", point=None):
     iso = point.isotropy() if point is not None else None
     if iso is not None and not iso.isotropic:
         raise NotIsotropic("square-root normal form needs an isotropic point")
-    restricted = odd_part(tau, fam)
+    restricted = odd_part(tau)
     c = restricted.constant_term()
     if c == 0:
         if iso is not None and iso.parity == 0:
@@ -177,10 +178,9 @@ def baker(u, weight, fam="t"):
     )
 
 
-def baker_adjoint(u, weight, fam="s"):
-    """Baker series of the residue-orthogonal point, conventionally in a
-    second time family."""
-    return baker(u.orthogonal(), weight, fam)
+def baker_adjoint(u, weight):
+    """Baker series of the residue-orthogonal point, in the second times s."""
+    return baker(u.orthogonal(), weight, "s")
 
 
 def baker_residual_matrices(u, count=None, dual=None):
@@ -203,19 +203,18 @@ def baker_residual_matrices(u, count=None, dual=None):
     return first, second
 
 
-def bilinear_residues(u, weight, fams=("t", "s"), dual=None):
-    """The two bilinear residuals Res psi(+-z, t) psi*(z, t') dz / z^2.
+def bilinear_residues(u, weight, dual=None):
+    """The two bilinear residuals Res psi(+-z, t) psi*(z, s) dz / z^2.
 
     Both are read off the residual matrices through the weight:
-    sum_ij first/second[i][j] p_{i+1}(t) p_{j+1}(t'), the product of the two
+    sum_ij first/second[i][j] p_{i+1}(t) p_{j+1}(s), the product of the two
     Baker series with the rows paired out.  The first residual vanishes
     identically (duality); the second vanishes exactly when the point is
-    sign-invariant -- its lowest nonzero monomial in (t, t') is the
+    sign-invariant -- its lowest nonzero monomial in (t, s) is the
     obstruction witness.
     """
-    ft, fs = fams
-    ps = [schur_p(k, ft).with_cap(weight) for k in range(1, weight + 1)]
-    qs = [schur_p(k, fs).with_cap(weight) for k in range(1, weight + 1)]
+    ps = [schur_p(k, "t").with_cap(weight) for k in range(1, weight + 1)]
+    qs = [schur_p(k, "s").with_cap(weight) for k in range(1, weight + 1)]
     out = []
     for m in baker_residual_matrices(u, weight, dual):
         acc = TimePolynomial({}, weight)

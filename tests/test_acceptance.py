@@ -353,7 +353,7 @@ def test_family_square_structure():
     })
     pencil = FramePoint.from_gens([series({-1: 1, 0: 1})], 1, win)
     assert pencil.isotropy().parity == 0
-    tau = tau_function(pencil.flow(g8), "t", cap=8)
+    tau = tau_function(pencil.flow(g8), cap=8)
     nf = taubar(tau, 8)
     assert nf.scale == 1
     assert not (nf.root * nf.root * nf.scale - odd_part(tau))

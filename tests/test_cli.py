@@ -116,6 +116,29 @@ class TestCheck:
         assert main(["check", str(path)]) == 2
         assert "error" in json.loads(capsys.readouterr().out)
 
+    def test_noncanonical_keys_are_errors(self, tmp_path, capsys):
+        # each would collapse onto another spelling of the same exponent
+        for key in ("00", "+1", "1_0", " 1", "-0", "01"):
+            bad = {"kind": "point", "gens": [{"0": "1", key: "5"}], "tail": 1}
+            code, rep = run(tmp_path, bad, "check", capsys=capsys)
+            assert code == 2
+            assert rep["error"] == (
+                f"ParseError: exponent must be an integer, got {key!r}")
+        bad = dict(TWO_FAMILY, flows={"1": "a", "01": "b"})
+        code, rep = run(tmp_path, bad, "family-square", capsys=capsys)
+        assert code == 2 and "flow exponent" in rep["error"]
+
+    def test_duplicate_keys_are_errors(self, tmp_path, capsys):
+        path = tmp_path / "input.json"
+        for text in ('{"kind": "point", "gens": [{"0": "1", "0": "5"}], '
+                     '"tail": 1}',
+                     '{"kind": "family", "flows": {"1": "a", "1": "b"}}',
+                     '{"kind": "point", "kind": "matrix", "entries": []}'):
+            path.write_text(text)
+            assert main(["check", str(path)]) == 2
+            assert json.loads(capsys.readouterr().out)["error"].startswith(
+                "ParseError: duplicate key")
+
 
 class TestReports:
     def test_tau_cusp(self, tmp_path, capsys):
@@ -209,8 +232,7 @@ class TestHierarchyCommand:
             "checks": [check("GR0", 4), check("P0TRIPLE", 8),
                        check("CURVE", 2)],
             "command": "hierarchy",
-            "config": {"maxsize": 1, "strict": False, "weight": 8,
-                       "window": 32},
+            "config": {"maxsize": 1, "strict": False, "window": 32},
             "ok": False,
             "report": {
                 "suite": [
@@ -238,6 +260,61 @@ class TestHierarchyCommand:
             "tool": "zgrass",
             "version": __version__,
         }
+
+
+class TestOptions:
+    """Every command takes only the options it reads, each in a range that
+    bounds its cost."""
+
+    INPUTS = {"hierarchy": CUSP, "pfaffian": SIX_BY_SIX, "tau": THREE_ROW,
+              "baker": THREE_ROW, "bilinear": THREE_ROW,
+              "family-square": TWO_FAMILY}
+
+    @pytest.mark.parametrize("cmd, option", [
+        ("hierarchy", "--weight"), ("pfaffian", "--window"),
+        ("family-square", "--window")])
+    def test_ignored_option_is_refused(self, tmp_path, capsys, cmd, option):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(self.INPUTS[cmd]))
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, str(path), option, "4"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cmd", ["tau", "baker", "bilinear",
+                                     "family-square"])
+    def test_weight_range(self, tmp_path, capsys, cmd):
+        obj = self.INPUTS[cmd]
+        for weight in ("-1", "25", "32"):
+            code, rep = run(tmp_path, obj, cmd, "--weight", weight,
+                            capsys=capsys)
+            assert code == 2
+            assert rep["error"] == (
+                f"ParseError: --weight must be between 0 and 24, got {weight}")
+        code, rep = run(tmp_path, obj, cmd, "--weight", "2", capsys=capsys)
+        assert code == 0 and rep["config"]["weight"] == 2
+
+    def test_nmax_range(self, tmp_path, capsys):
+        for nmax in ("0", "65", "96"):
+            code, rep = run(tmp_path, CURVE, "orbit", "--nmax", nmax,
+                            capsys=capsys)
+            assert code == 2
+            assert rep["error"] == (
+                f"ParseError: --nmax must be between 1 and 64, got {nmax}")
+        code, rep = run(tmp_path, CURVE, "orbit", "--nmax", "1",
+                        capsys=capsys)
+        assert code == 0 and rep["report"]["dims"]
+
+    def test_floor_range(self, tmp_path, capsys):
+        for floor in (0, 1, -49, -96):
+            code, rep = run(tmp_path, dict(TWO_FAMILY, floor=floor),
+                            "family-square", capsys=capsys)
+            assert code == 2
+            assert rep["error"] == ("ParseError: 'floor' must be an integer "
+                                    f"between -48 and -1, got {floor}")
+        code, rep = run(tmp_path, dict(TWO_FAMILY, floor=-2),
+                        "family-square", "--weight", "2", capsys=capsys)
+        assert code == 0 and rep["report"]["floor"] == -2
 
 
 class TestOrbitCommand:

@@ -209,11 +209,11 @@ class TestDualRoutes:
     def test_bad_route_rejected(self):
         with pytest.raises(ZgrassError):
             gr0_constraint((), (), tconst(1), route="newton")
-        # neither call pairs anything: every entry is beyond the cap, and
-        # the box diagram's level-0 extraction is identically zero
+        # each route is refused when the table is built, before any pairing:
+        # the capped suite would pair CURVE(()), and the box diagram's
+        # level-0 extraction is identically zero
         with pytest.raises(ZgrassError):
-            constraint_suite(two_row_tau().with_cap(0), 2,
-                             families=(GR0, P0TRIPLE), route="bogus")
+            constraint_suite(two_row_tau().with_cap(0), 2, route="bogus")
         with pytest.raises(ZgrassError):
             curve_constraint((1,), two_row_tau(), route="bogus")
 
@@ -239,11 +239,6 @@ class TestSuite:
         assert fams == sorted(fams, key=(GR0, P0TRIPLE, CURVE).index)
         assert entries[0].family == GR0
         assert entries[0].diagrams == ((), ())
-
-    def test_family_selection(self):
-        entries = constraint_suite(cusp_tau(), 1, families=(CURVE,))
-        assert {e.family for e in entries} == {CURVE}
-        assert len(entries) == 2
 
     def test_capped_suite_marks_unsound(self):
         entries = constraint_suite(pencil_tau().with_cap(1), 1)

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import pkgutil
 from fractions import Fraction
 
@@ -123,8 +124,8 @@ class TestMemo:
     """The Schur calculus memoizes through functools.cache, one idiom."""
 
     def test_cache_info_counts_hits(self):
-        for fn, args in ((schur_p, (3, "t")), (schur, ((2, 1), "t")),
-                         (strip_sum, ((2, 1), 1, "t")),
+        for fn, args in ((schur_p, (3, "t")), (schur, ((2, 1),)),
+                         (strip_sum, ((2, 1), 1)),
                          (extraction_operator, ((2, 1), 0, True))):
             fn(*args)
             hits = fn.cache_info().hits
@@ -146,6 +147,30 @@ class TestMemo:
             found += [f"{info.name}.{name}" for name, v in vars(mod).items()
                       if name.endswith("_cache") and isinstance(v, dict)]
         assert found == []
+
+
+def test_only_variable_builders_take_a_family():
+    """Tau and the Schur calculus read the times t, and the bilinear residue
+    its second times s.  Of the public callables of tau, symfun and
+    hierarchy, only those that build the variables of a chosen family take
+    one: tvar, schur_p and baker, each called with more than one family,
+    and TimePolynomial.differentiate, whose (fam, k) names a variable."""
+    takes_fam = []
+    for modname in ("zgrass.tau", "zgrass.symfun", "zgrass.hierarchy"):
+        mod = importlib.import_module(modname)
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__", "") != modname:
+                continue
+            members = [(name, obj)]
+            if inspect.isclass(obj):
+                members += [(f"{name}.{k}", getattr(obj, k))
+                            for k in vars(obj) if not k.startswith("_")]
+            for qual, fn in members:
+                if inspect.isroutine(fn) and {"fam", "fams", "families"} & set(
+                        inspect.signature(fn).parameters):
+                    takes_fam.append(qual)
+    assert sorted(takes_fam) == ["TimePolynomial.differentiate", "baker",
+                                 "schur_p", "tvar"]
 
 
 class TestHall:

@@ -153,11 +153,6 @@ class TestFlowConsistency:
         assert got != want + tvar(4).with_cap(4)
         assert got != tconst(1).with_cap(4)
 
-    def test_second_family(self):
-        got, want = tau_flow_consistency(point_a(Fraction(1, 2)), 2, fam="s")
-        assert got == want
-        assert want.coeff([(("s", 1), 1)]) == Fraction(1, 2)
-
     def test_two_rows(self):
         u = FramePoint.from_gens(
             [series({-2: 1, 0: 3}), series({-1: 1, 1: 2})], 2, window=W

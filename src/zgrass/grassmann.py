@@ -445,34 +445,6 @@ class FramePoint:
         return we, wo
 
 
-def assemble_even_odd(we, wo, window=DEFAULT_WINDOW):
-    """Rebuild the z-space point from even and odd w-space components.
-
-    Inverse of split_even_odd: w^m goes back to z^{2m} and z^{2m+1}
-    respectively; tail monomials that the combined tail cannot cover become
-    explicit generators and are re-absorbed by the canonical frame.
-    """
-    gens = [
-        LaurentSeries({2 * e: c for e, c in r.coeffs.items()}) for r in we.rows
-    ] + [
-        LaurentSeries({2 * e + 1: c for e, c in r.coeffs.items()})
-        for r in wo.rows
-    ]
-    je, jo = we.tail_j, wo.tail_j
-    jz = max(2 * je + 1, 2 * jo)
-    for k in range(je + 1, jz // 2 + 1):
-        gens.append(LaurentSeries.monomial(-2 * k))
-    for i in range(jo + 1, (jz + 1) // 2 + 1):
-        gens.append(LaurentSeries.monomial(-(2 * i - 1)))
-    return FramePoint.from_gens(
-        gens,
-        jz,
-        window,
-        allow_dependent=True,
-        exact=we.exact and wo.exact,
-    )
-
-
 def coset_reps(a, b):
     """Representatives of a basis of A/(A intersect B), descending pivot.
 
@@ -506,25 +478,3 @@ def is_prym_flow(g):
     v = g.valuation()
     t = g.top
     return all(e < v + t for e in defect.coeffs)
-
-
-def exchange_defect(u, lam_a, lam_b, slot=0):
-    """Single-exchange quadratic relation between two minors of the frame.
-
-    For the column tuples S, T of the two diagrams (padded to a common
-    length in the charge chart), the product det(S) det(T) equals the sum
-    over positions b of det(S with slot replaced by T[b]) times det(T with
-    b replaced by S[slot]); replacements keep their positions, so repeated
-    columns kill terms and no re-sorting signs appear.  This returns the
-    difference, which vanishes identically on every frame.
-    """
-    lam_a, lam_b = Partition(lam_a), Partition(lam_b)
-    n = max(len(lam_a), len(lam_b), len(u.rows), slot + 1)
-    cs = _chart_columns(lam_a, u.charge, n)
-    ct = _chart_columns(lam_b, u.charge, n)
-    total = u.minor(cs) * u.minor(ct)
-    for b in range(n):
-        s2, t2 = list(cs), list(ct)
-        s2[slot], t2[b] = ct[b], cs[slot]
-        total -= u.minor(s2) * u.minor(t2)
-    return total

@@ -24,6 +24,14 @@ def _tmin(*ts):
     return min(vals) if vals else None
 
 
+def _product_trunc(f, g):
+    """Sound truncation of f * g, neither an exact zero: where an unknown
+    coefficient of one meets the lowest possibly nonzero one of the other."""
+    cands = [a.trunc + (b.low if b.coeffs else b.trunc)
+             for a, b in ((f, g), (g, f)) if a.trunc is not None]
+    return min(cands, default=None)
+
+
 def _inv_coeff(c):
     if hasattr(c, "inverse_unit"):
         return c.inverse_unit()
@@ -139,15 +147,7 @@ class LaurentSeries:
         f, g = self, other
         if f.is_zero() or g.is_zero():
             return LaurentSeries()
-        # lowest exponent that could carry a nonzero coefficient
-        flow = f.low if f.coeffs else f.trunc
-        glow = g.low if g.coeffs else g.trunc
-        cands = []
-        if f.trunc is not None:
-            cands.append(f.trunc + glow)
-        if g.trunc is not None:
-            cands.append(g.trunc + flow)
-        t = min(cands) if cands else None
+        t = _product_trunc(f, g)
         data = {}
         for e1, c1 in f.coeffs.items():
             for e2, c2 in g.coeffs.items():
@@ -313,13 +313,21 @@ def residue(f):
 
 
 def pair_std(f, g):
-    """Residue pairing Res f(z) g(z) dz."""
-    return residue(f * g)
+    """Residue pairing Res f(z) g(z) dz: residue(f * g), summed from the
+    products f[e] g[-1-e] alone and refused wherever f * g would be."""
+    if f.is_zero() or g.is_zero():
+        return Fraction(0)
+    t = _product_trunc(f, g)
+    if t is not None and t <= -1:
+        raise InsufficientPrecision(f"residue not known (truncated at {t})")
+    total = sum((c * g.coeffs[-1 - e] for e, c in f.coeffs.items()
+                 if -1 - e in g.coeffs), Fraction(0))
+    return total if total else Fraction(0)
 
 
 def pair_sigma(f, g, sub):
     """Twisted residue pairing Res f(z) g(s(z)) dz for a substitution s."""
-    return residue(f * g.substitute(sub))
+    return pair_std(f, g.substitute(sub))
 
 
 def exp_floor(u, floor):

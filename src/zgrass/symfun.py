@@ -7,20 +7,23 @@ exponent).  Variables are keyed by a (family, index) pair so that several
 independent sets of variables coexist in one arithmetic: the times t, the
 second times s of the bilinear residue, and named flow parameters.
 
-The Schur polynomial chi_lam in the times t lives here, expanded through
-the p_n of exp(sum_k t_k z^k), with the strip sums D_{lam,alpha}, the Hall
+The Schur polynomial chi_lam in the times t lives here, read off the
+characters: with p_k = k t_k, the coefficient of prod_k t_k^m_k in chi_lam
+is chi^lam(mu) / prod_k m_k! (Murnaghan-Nakayama, Macdonald I.7).  Beside
+it are the p_n of exp(sum_k t_k z^k), the strip sums D_{lam,alpha}, the Hall
 pairing in these coordinates, and the scaled-derivative action f(d~) with
-d~_k = (1/k) d/dt_k; only tvar and schur_p take another family.  schur_p,
-schur and strip_sum are memoized with functools.cache for the life of the
-process: their values are shared and never mutated in place.
+d~_k = (1/k) d/dt_k; only tvar and schur_p take another family.  partitions,
+schur_p, schur, strip_sum and the helpers _character and _mono_weight are
+memoized with functools.cache for the life of the process: their values
+are shared and never mutated in place.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import cache
-from math import factorial
+from math import factorial, prod
 
 from .errors import InsufficientPrecision, ParseError, ZgrassError
-from .linalg import det_ring
 
 
 class Partition:
@@ -70,6 +73,7 @@ class Partition:
         return f"Partition{self.parts!r}"
 
 
+@cache
 def partitions(n):
     """All partitions of n, ascending in the (weight, lex) order."""
     out = []
@@ -82,8 +86,7 @@ def partitions(n):
             rec(remaining - p, p, acc + [p])
 
     rec(n, n, [])
-    out.sort(key=Partition.key)
-    return out
+    return tuple(sorted(out, key=Partition.key))
 
 
 def partitions_upto(w):
@@ -135,6 +138,7 @@ def horizontal_strips(lam, alpha):
 # -- time polynomials --------------------------------------------------------
 
 
+@cache
 def _mono_weight(mono):
     return sum(k * m for (_, k), m in mono)
 
@@ -160,6 +164,16 @@ class TimePolynomial:
                 data[mono] = data[mono] + c if mono in data else c
         self.terms = {m: c for m, c in data.items() if c}
         self.maxweight = maxweight
+
+    @classmethod
+    def _canonical(cls, terms, maxweight):
+        """Arithmetic's constructor: terms have canonical monomials, so it
+        only drops zero coefficients and monomials past the cap."""
+        out = cls.__new__(cls)
+        out.terms = {m: c for m, c in terms.items() if c and (
+            maxweight is None or _mono_weight(m) <= maxweight)}
+        out.maxweight = maxweight
+        return out
 
     # -- inspection ----------------------------------------------------------
 
@@ -191,8 +205,8 @@ class TimePolynomial:
             raise InsufficientPrecision(
                 f"weight {w} beyond cap {self.maxweight}"
             )
-        return TimePolynomial(
-            {m: c for m, c in self.terms.items() if _mono_weight(m) == w}
+        return TimePolynomial._canonical(
+            {m: c for m, c in self.terms.items() if _mono_weight(m) == w}, None
         )
 
     def with_cap(self, maxweight):
@@ -200,7 +214,7 @@ class TimePolynomial:
             maxweight is None or maxweight > self.maxweight
         ):
             maxweight = self.maxweight
-        return TimePolynomial(self.terms, maxweight)
+        return TimePolynomial._canonical(self.terms, maxweight)
 
     def is_zero(self):
         return not self.terms and self.maxweight is None
@@ -230,12 +244,12 @@ class TimePolynomial:
         data = dict(self.terms)
         for m, c in other.terms.items():
             data[m] = data[m] + c if m in data else c
-        return TimePolynomial(data, self._cap_with(other))
+        return TimePolynomial._canonical(data, self._cap_with(other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TimePolynomial(
+        return TimePolynomial._canonical(
             {m: -c for m, c in self.terms.items()}, self.maxweight
         )
 
@@ -253,7 +267,7 @@ class TimePolynomial:
                 other = Fraction(other)
             if not other:
                 return TimePolynomial()
-            return TimePolynomial(
+            return TimePolynomial._canonical(
                 {m: c * other for m, c in self.terms.items()}, self.maxweight
             )
         if self.is_zero() or other.is_zero():
@@ -261,17 +275,20 @@ class TimePolynomial:
         cap = self._cap_with(other)
         data = {}
         for m1, c1 in self.terms.items():
-            d1 = dict(m1)
+            room = None if cap is None else cap - _mono_weight(m1)
             for m2, c2 in other.terms.items():
-                d = dict(d1)
-                for v, mult in m2:
-                    d[v] = d.get(v, 0) + mult
-                m = tuple(sorted(d.items()))
-                if cap is not None and _mono_weight(m) > cap:
+                if room is not None and _mono_weight(m2) > room:
                     continue
+                if not (m1 and m2):
+                    m = m1 or m2
+                else:
+                    d = dict(m1)
+                    for v, mult in m2:
+                        d[v] = d.get(v, 0) + mult
+                    m = tuple(sorted(d.items()))
                 p = c1 * c2
                 data[m] = data[m] + p if m in data else p
-        return TimePolynomial(data, cap)
+        return TimePolynomial._canonical(data, cap)
 
     __rmul__ = __mul__
 
@@ -287,7 +304,7 @@ class TimePolynomial:
 
     def negate_times(self):
         """Substitute t_k -> -t_k in every family simultaneously."""
-        return TimePolynomial(
+        return TimePolynomial._canonical(
             {
                 m: -c if sum(mult for _, mult in m) % 2 else c
                 for m, c in self.terms.items()
@@ -311,7 +328,7 @@ class TimePolynomial:
                 d[var] = mult - 1
             mono = tuple(sorted(d.items()))
             data[mono] = data.get(mono, Fraction(0)) + mult * c
-        return TimePolynomial(data, cap)
+        return TimePolynomial._canonical(data, cap)
 
     def inverse_unit(self):
         """Inverse of a unit (nonzero constant term).
@@ -403,12 +420,37 @@ def schur_p(n, fam="t"):
 
 
 @cache
+def _character(beads, mu):
+    """chi^lam(mu) by Murnaghan-Nakayama on lam's beta-numbers, the bits
+    lam_i + len(lam) - i of beads: a rim hook of length mu[0] moves a bead
+    b to a free b - mu[0] >= 0, with sign (-1)^(beads jumped)."""
+    if not mu:
+        return 1
+    k, total = mu[0], 0
+    for b in range(k, beads.bit_length()):
+        if beads >> b & 1 and not beads >> (b - k) & 1:
+            moved = beads ^ (1 << b) ^ (1 << (b - k))
+            while moved & 1:  # a bead at 0 is a zero part: drop it
+                moved >>= 1
+            chi = _character(moved, mu[1:])
+            jumped = beads >> (b - k + 1) & ((1 << (k - 1)) - 1)
+            total += -chi if jumped.bit_count() & 1 else chi
+    return total
+
+
+@cache
 def schur(lam):
-    """Schur polynomial chi_lam = det(p_{lam_i - i + j}) in the times t."""
-    lam = Partition(lam)
-    rows = [[schur_p(p - i + j, "t") for j in range(len(lam))]
-            for i, p in enumerate(lam)]
-    return det_ring(rows) if rows else tconst(1)
+    """Schur polynomial chi_lam in the times t: the coefficient of
+    t^mu = prod_k t_k^m_k is chi^lam(mu) / prod_k m_k!."""
+    lam, terms = Partition(lam), {}
+    beads = sum(1 << (p + len(lam) - 1 - i) for i, p in enumerate(lam))
+    for mu in partitions(lam.weight):
+        chi = _character(beads, mu.parts)
+        if chi:
+            mults = sorted(Counter(mu.parts).items())
+            terms[tuple((("t", k), m) for k, m in mults)] = Fraction(
+                chi, prod(factorial(m) for _, m in mults))
+    return TimePolynomial._canonical(terms, None)
 
 
 @cache

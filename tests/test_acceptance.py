@@ -14,8 +14,6 @@ import pytest
 from zgrass.errors import OddParity, ZgrassError
 from zgrass.grassmann import (
     FramePoint,
-    assemble_even_odd,
-    exchange_defect,
     is_prym_flow,
 )
 from zgrass.hierarchy import (
@@ -44,6 +42,8 @@ from zgrass.tau import (
 )
 
 import random
+
+from frame_oracles import assemble_even_odd, exchange_defect
 
 ONE = LaurentSeries({0: Fraction(1)})
 

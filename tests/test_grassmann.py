@@ -16,13 +16,13 @@ from zgrass.errors import (
 )
 from zgrass.grassmann import (
     FramePoint,
-    assemble_even_odd,
     coset_reps,
-    exchange_defect,
     is_prym_flow,
 )
 from zgrass.series import LaurentSeries, SubstitutionMap, exp_floor, sigma0
 from zgrass.symfun import schur, schur_p, tconst, tvar
+
+from frame_oracles import assemble_even_odd, exchange_defect
 
 ONE = LaurentSeries.one()
 

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from zgrass.errors import InsufficientPrecision, ZeroInput, ZgrassError
@@ -32,6 +32,13 @@ def laurent_polys(draw, min_exp=-4, max_exp=4, max_terms=4):
         for e in exps
     }
     return L(coeffs)
+
+
+@st.composite
+def truncated_polys(draw):
+    """Laurent polynomials, exact or truncated anywhere in their range."""
+    f = draw(laurent_polys())
+    return L(f.coeffs, draw(st.none() | st.integers(-5, 5)))
 
 
 class TestConstruction:
@@ -231,6 +238,22 @@ class TestPairings:
     def test_std_pairing(self):
         assert pair_std(L({-1: 1}), L.one()) == 1
         assert pair_std(L({-3: 1}), L({2: 7})) == 7
+
+    @given(truncated_polys(), truncated_polys())
+    @example(L({-3: 1}, trunc=0), L({1: 1}, trunc=1))
+    @example(L({}, trunc=2), L({-3: 2}))
+    @example(L(), L({-1: 1}, trunc=-2))
+    def test_std_pairing_is_residue_of_product(self, f, g):
+        # one coefficient read without the product, refused exactly where
+        # the product's residue is
+        try:
+            want = residue(f * g)
+        except InsufficientPrecision:
+            with pytest.raises(InsufficientPrecision):
+                pair_std(f, g)
+        else:
+            got = pair_std(f, g)
+            assert got == want and type(got) is type(want)
 
     @given(laurent_polys(), laurent_polys())
     def test_hemisymmetry(self, f, g):

@@ -1,13 +1,16 @@
 import importlib
 import inspect
 import pkgutil
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zgrass
+from zgrass import linalg, symfun
 from zgrass.errors import InsufficientPrecision, ParseError, ZgrassError
 from zgrass.hierarchy import extraction_operator
 from zgrass.symfun import (
@@ -120,6 +123,70 @@ class TestSchur:
         assert schur((2, 1)).evaluate({("t", 1): 3}) == 9
 
 
+def jacobi_trudi(lam):
+    """chi_lam = det(p_{lam_i - i + j}) by det_ring: the oracle for schur."""
+    rows = [[schur_p(p - i + j, "t") for j in range(len(lam))]
+            for i, p in enumerate(lam)]
+    return linalg.det_ring(rows) if rows else tconst(1)
+
+
+@st.composite
+def heavy_partitions(draw):
+    """Partitions of weight 10-12."""
+    lams = partitions(draw(st.integers(10, 12)))
+    return lams[draw(st.integers(0, len(lams) - 1))]
+
+
+class TestSchurByCharacters:
+    """schur reads chi^lam(mu) / prod m_k! off the character table."""
+
+    def test_jacobi_trudi_through_weight_9(self):
+        for lam in partitions_upto(9):
+            assert schur(lam) == jacobi_trudi(lam.parts), lam
+
+    @settings(max_examples=20)
+    @given(heavy_partitions())
+    def test_jacobi_trudi_past_weight_9(self, lam):
+        assert schur(lam) == jacobi_trudi(lam.parts)
+
+    def test_character_values(self):
+        # chi^(2,1) on the classes of S_3 (beta-numbers {3, 1}), and
+        # chi^(2,2) on (2,2) and (3,1) (beta-numbers {3, 2})
+        assert [symfun._character(0b1010, mu)
+                for mu in ((1, 1, 1), (2, 1), (3,))] == [2, 0, -1]
+        assert symfun._character(0b1100, (2, 2)) == 2
+        assert symfun._character(0b1100, (3, 1)) == -1
+
+    def test_no_determinant_and_no_product(self, monkeypatch):
+        """A cold schur through weight 8 calls neither det_ring nor
+        TimePolynomial.__mul__."""
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for modname, mod in list(sys.modules.items()):
+            if modname.startswith("zgrass") and hasattr(mod, "det_ring"):
+                monkeypatch.setattr(mod, "det_ring",
+                                    counted("det_ring", mod.det_ring))
+        for attr in ("__mul__", "__rmul__"):
+            monkeypatch.setattr(TimePolynomial, attr,
+                                counted("mul", getattr(TimePolynomial, attr)))
+        schur.cache_clear()
+        symfun._character.cache_clear()
+        lams = partitions_upto(8)
+        for lam in lams:
+            schur(lam)
+        assert schur.cache_info().misses == len(lams)
+        assert calls == Counter()
+        # the wrappers count: a determinant of polynomials uses both
+        linalg.det_ring([[t1, t2], [t3, t1]])
+        assert calls["det_ring"] == 1 and calls["mul"] > 0
+
+
 class TestMemo:
     """The Schur calculus memoizes through functools.cache, one idiom."""
 
@@ -208,6 +275,83 @@ class TestApplyTilde:
         out = apply_tilde(t2, target)
         assert out.maxweight == 1
         assert out == t1.with_cap(1) * half
+
+
+@st.composite
+def time_polys(draw):
+    """Polynomials in t1..t3 and s1, s2 with repeated, zero and heavy terms,
+    exact or capped at weights 0-6."""
+    variables = [("t", 1), ("t", 2), ("t", 3), ("s", 1), ("s", 2)]
+    items = []
+    for _ in range(draw(st.integers(0, 5))):
+        mono = tuple((v, draw(st.integers(0, 2)))
+                     for v in draw(st.permutations(variables))[:3])
+        items.append((mono, Fraction(draw(st.integers(-3, 3)),
+                                     draw(st.integers(1, 3)))))
+    return TimePolynomial(items, draw(st.none() | st.integers(0, 6)))
+
+
+def _cap(a, b):
+    return a if b is None else b if a is None else min(a, b)
+
+
+def normalized(op, f, g):
+    """op(f, g) with its result sorted and merged by the public
+    constructor: the normalizing path arithmetic took before.  "scale"
+    multiplies by g's constant term, "cap" caps f at g's cap."""
+    f_items, g_items = list(f.terms.items()), list(g.terms.items())
+    cap = _cap(f.maxweight, g.maxweight)
+    if op == "add":
+        return TimePolynomial(f_items + g_items, cap)
+    if op == "sub":
+        return TimePolynomial(f_items + [(m, -c) for m, c in g_items], cap)
+    if op == "neg":
+        return TimePolynomial([(m, -c) for m, c in f_items], f.maxweight)
+    if op == "cap":
+        return TimePolynomial(f_items, cap)
+    if op == "scale":
+        k = g.terms.get((), Fraction(0))
+        if not k:
+            return TimePolynomial()
+        return TimePolynomial([(m, c * k) for m, c in f_items], f.maxweight)
+    if f.is_zero() or g.is_zero():
+        return TimePolynomial()
+    out = []
+    for m1, c1 in f_items:
+        for m2, c2 in g_items:
+            powers = Counter(dict(m1))
+            powers.update(dict(m2))
+            out.append((tuple(powers.items()), c1 * c2))
+    return TimePolynomial(out, cap)
+
+
+class TestCanonicalArithmetic:
+    """Arithmetic results carry sorted monomials, no zero coefficient and
+    nothing past the cap, and agree with the normalizing constructor."""
+
+    @given(time_polys(), time_polys())
+    def test_results_are_canonical(self, f, g):
+        results = {
+            "add": f + g,
+            "sub": f - g,
+            "neg": -f,
+            "mul": f * g,
+            "scale": f * g.terms.get((), Fraction(0)),
+            "cap": f.with_cap(g.maxweight),
+        }
+        for op, r in results.items():
+            for mono, c in r.terms.items():
+                assert c and mono == tuple(sorted(mono))
+                assert all(mult > 0 for _, mult in mono)
+                assert r.maxweight is None or sum(
+                    k * mult for (_, k), mult in mono) <= r.maxweight
+            assert r == TimePolynomial(r.terms, r.maxweight), op
+            assert r == normalized(op, f, g), op
+
+    def test_cap_drops_heavy_sums(self):
+        f = (t1 * t2).with_cap(2)
+        assert (t1 * t2 + f).terms == {}
+        assert (t1 * t2 + f).maxweight == 2
 
 
 class TestTruncation:

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from zgrass.errors import (
     InsufficientPrecision,
@@ -14,7 +14,15 @@ from zgrass.errors import (
 from zgrass.grassmann import FramePoint
 from zgrass.krichever import CurveData, span_closure
 from zgrass.series import LaurentSeries, residue, sigma0
-from zgrass.symfun import Partition, TimePolynomial, schur, schur_p, tconst, tvar
+from zgrass.symfun import (
+    Partition,
+    TimePolynomial,
+    partitions_upto,
+    schur,
+    schur_p,
+    tconst,
+    tvar,
+)
 from zgrass.tau import (
     baker,
     baker_adjoint,
@@ -126,6 +134,14 @@ class TestTau:
         with pytest.raises(ZgrassError):
             tau_function(moved)
 
+    def test_monomial_points_are_schur_polynomials(self):
+        # rows z^(lam_i - i) over tail len(lam): charge 0, tau = s_lam
+        for lam in partitions_upto(6):
+            gens = [mono(p - i) for i, p in enumerate(lam, 1)]
+            u = FramePoint.from_gens(gens, len(lam), window=W)
+            assert u.charge == 0
+            assert tau_function(u) == schur(lam), lam
+
 
 class TestFlowConsistency:
     def test_pencil(self):
@@ -160,6 +176,22 @@ class TestFlowConsistency:
         got, want = tau_flow_consistency(u, 4)
         assert got == want
         assert want.component(2) == (schur((2,)) * 2 - schur((1, 1)) * 3)
+
+    @settings(max_examples=20)
+    @given(st.data())
+    def test_deep_frames_past_weight_4(self, data):
+        """3-4-row frames with tops <= 4, flowed and capped at 6-8."""
+        nrows = data.draw(st.integers(3, 4))
+        tail = data.draw(st.integers(nrows - 2, 4))
+        pivots = data.draw(st.lists(st.integers(-tail, 1), min_size=nrows,
+                                    max_size=nrows, unique=True))
+        gens = [series({p: 1, **data.draw(st.dictionaries(
+            st.integers(p + 1, 4), st.integers(-3, 3).filter(bool),
+            min_size=1, max_size=2))}) for p in pivots]
+        u = FramePoint.from_gens(gens, tail, window=(-16, 12))
+        assume(len(u.rows) == nrows)
+        got, want = tau_flow_consistency(u, data.draw(st.integers(6, 8)))
+        assert got == want
 
     def test_times_flow_unit(self):
         g = times_flow(3, -8)

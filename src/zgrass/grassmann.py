@@ -445,25 +445,6 @@ class FramePoint:
         return we, wo
 
 
-def coset_reps(a, b):
-    """Representatives of a basis of A/(A intersect B), descending pivot.
-
-    Both points must be exact.  Candidates are A's materialized rows down to
-    the deeper of the two tails; a candidate survives when its B-remainder is
-    independent of the remainders already taken.
-    """
-    if not (a.exact and b.exact):
-        raise ZgrassError("coset representatives need exact frames")
-    jm = max(a.tail_j, b.tail_j)
-    cands = list(a.rows) + [
-        LaurentSeries.monomial(-j) for j in range(a.tail_j + 1, jm + 1)
-    ]
-    _, kept = echelon(
-        [b.reduce(v).drop_below(-b.tail_j).coeffs for v in cands]
-    )
-    return [cands[i] for i in kept]
-
-
 def is_prym_flow(g):
     """Whether g is a flow along the involution locus: g(z) g(-z) = 1.
 

@@ -20,7 +20,8 @@ Input files are single JSON objects tagged by "kind":
 A family flow value is either an exact rational or the name of a formal
 coefficient family ("a" above); the name "t" is reserved for the times.
 Exponent keys are spelled canonically ("1", "-2"; not "01", "+1" or "-0"),
-no object repeats a key, and a family's floor lies in -48..-1.
+no object repeats a key, a family's floor lies in -48..-1, and a matrix has
+at most 64 rows.
 """
 
 import json
@@ -99,6 +100,8 @@ def poly_to_json(p):
 def matrix_from_json(rows):
     if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
         raise ParseError("matrix entries must be a list of rows")
+    if len(rows) > 64:
+        raise ParseError(f"a matrix must have 0 to 64 rows, got {len(rows)}")
     return [[parse_frac(v) for v in row] for row in rows]
 
 

@@ -2,12 +2,12 @@
 
 Matrices are plain lists of lists.  det_unit is the one Gaussian
 elimination (det_field is det_unit over Fraction); det_ring expands, over
-rings without unit pivots.  echelon is the one row reduction: it reduces
-sparse rows one at a time against a sparse echelon basis, since the systems
-it solves have many more rows than rank, and rref, nullspace, frames
-(FramePoint.from_gens) and coset representatives all read their answers
-off it.  Sizes stay small (a few dozen rows at most) and exactness is the
-point.
+rings without unit pivots.  _is_unit is the one pivot test, shared with the
+skew elimination of pfaffian.pfaffian.  echelon is the one row reduction: it
+reduces sparse rows one at a time against a sparse echelon basis, since the
+systems it solves have many more rows than rank, and rref, nullspace and
+frames (FramePoint.from_gens) all read their answers off it.  Sizes stay
+small (a few dozen rows at most) and exactness is the point.
 """
 
 from bisect import insort
@@ -61,25 +61,15 @@ def det_ring(rows):
 def det_unit(rows):
     """Gaussian determinant, the signed product of unit pivots.
 
-    Each column pivots on its first unit: a Fraction, or a ring element with
-    a nonzero constant term (weight-truncated parameter polynomials).
-    Raises ZgrassError when a column's nonzero entries hold no unit; callers
-    fall back to det_ring.  Over Fraction it never raises (det_field).
+    Each column pivots on its first unit (_is_unit).  Raises ZgrassError
+    when a column's nonzero entries hold no unit; callers fall back to
+    det_ring.  Over Fraction it never raises (det_field).
     """
     n = len(rows)
     a = [list(r) for r in rows]
     det = Fraction(1)
     for col in range(n):
-        piv = None
-        for r in range(col, n):
-            x = a[r][col]
-            if not x:
-                continue
-            if isinstance(x, Fraction) or (
-                hasattr(x, "constant_term") and x.constant_term()
-            ):
-                piv = r
-                break
+        piv = next((r for r in range(col, n) if _is_unit(a[r][col])), None)
         if piv is None:
             if any(a[r][col] for r in range(col, n)):
                 raise ZgrassError("no unit pivot in column")
@@ -96,6 +86,14 @@ def det_unit(rows):
                 for c in range(col, n):
                     a[r][c] = a[r][c] - f * a[col][c]
     return det
+
+
+def _is_unit(x):
+    """Whether x can be a pivot: a nonzero Fraction, or a ring element with a
+    nonzero constant term (weight-truncated parameter polynomials)."""
+    if isinstance(x, Fraction):
+        return x != 0
+    return hasattr(x, "constant_term") and x.constant_term() != 0
 
 
 def echelon(rows, ncols=None):

@@ -5,8 +5,8 @@ Gram matrices of frame vectors are alternating and carry a Pfaffian -- the
 natural square root of the determinant.  The sign flip is the only twist
 used here; another involution is brought to it first by
 krichever.normalize_involution.  This module computes Pfaffians over any of
-the coefficient rings in use (rationals, time polynomials), certifies the
-duality pairing between two transverse points, and decides exactly whether a
+the coefficient rings in use (rationals, time polynomials) by skew
+elimination, O(n^3) ring operations, and decides exactly whether a
 polynomial family of vacuum minors is a perfect square times a scalar.
 """
 
@@ -14,18 +14,21 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import NotAlternating, ZgrassError
-from .grassmann import coset_reps
-from .linalg import det_field
-from .series import pair_sigma, sigma0
+from .linalg import _is_unit
+from .series import _inv_coeff, pair_sigma, sigma0
 from .symfun import TimePolynomial, _mono_weight, sqrt_series, tconst
 
 
 def pfaffian(m):
-    """Pfaffian of an alternating matrix, by expansion along the first row.
+    """Pfaffian of an alternating matrix, by skew (Parlett-Reid) elimination.
 
-    Subsets of indices are memoized, so the cost is O(2^n) rather than the
-    naive double factorial; fine for the matrix sizes pairing computations
-    produce.
+    Row 0 pivots on its first unit entry a[0][j] (linalg._is_unit), swapped
+    into column 1 with a sign flip; the Pfaffian is that pivot times the
+    Pfaffian of B + (v u^T - u v^T) / a[0][1], where B is the trailing block
+    and u, v are rows 0 and 1 past column 1.  A zero row gives 0.  Over
+    Fraction every nonzero entry is a unit, so this costs O(n^3).  Ring
+    entries with no unit pivot fall back to _pfaffian_memo, the expansion
+    along the first row memoized on index subsets, O(2^n).
     """
     n = len(m)
     if n % 2:
@@ -38,6 +41,38 @@ def pfaffian(m):
         for j in range(i + 1, n):
             if m[i][j] + m[j][i]:
                 raise NotAlternating(f"entries ({i},{j}) and ({j},{i}) do not cancel")
+    a = [list(r) for r in m]
+    pf = Fraction(1)
+    try:
+        for k in range(0, n, 2):
+            u = a[k]
+            j = next((c for c in range(k + 1, n) if _is_unit(u[c])), None)
+            if j is None:
+                if any(u[k + 1:]):
+                    raise ZgrassError("no unit pivot in row")
+                return Fraction(0)
+            if j != k + 1:
+                a[k + 1], a[j] = a[j], a[k + 1]
+                for r in a[k:]:
+                    r[k + 1], r[j] = r[j], r[k + 1]
+                pf = -pf
+            v = a[k + 1]
+            pf = pf * u[k + 1]
+            pinv = _inv_coeff(u[k + 1])
+            for i in range(k + 2, n):
+                ui, vi = u[i] * pinv, v[i] * pinv
+                if not (ui or vi):
+                    continue
+                for j in range(i + 1, n):
+                    x = a[i][j] + vi * u[j] - ui * v[j]
+                    a[i][j], a[j][i] = x, -x
+    except ZgrassError:
+        return _pfaffian_memo(m)
+    return pf
+
+
+def _pfaffian_memo(m):
+    """Expansion along the first row, memoized on index subsets: O(2^n)."""
     memo = {}
 
     def pf(idx):
@@ -57,7 +92,7 @@ def pfaffian(m):
         memo[idx] = acc
         return acc
 
-    return pf(tuple(range(n)))
+    return pf(tuple(range(len(m))))
 
 
 def gram_matrix(vectors):
@@ -71,33 +106,6 @@ def gram_matrix(vectors):
             m[i][j] = v
             m[j][i] = -v
     return m
-
-
-def gram_pfaffian(vectors):
-    return pfaffian(gram_matrix(vectors))
-
-
-class DualityReport(NamedTuple):
-    dual: bool
-    matrix: list
-
-
-def mti_duality_check(a, b):
-    """Whether the twisted pairing puts A/(A cap B) and B/(B cap A) in duality.
-
-    The matrix pairs the B-side representatives against the A-side ones; the
-    verdict is its invertibility (square and with nonzero determinant, taken
-    over the fraction field).
-    """
-    s = sigma0()
-    reps_a = coset_reps(a, b)
-    reps_b = coset_reps(b, a)
-    matrix = [
-        [pair_sigma(rb, ra, s) for ra in reps_a] for rb in reps_b
-    ]
-    if len(reps_a) != len(reps_b):
-        return DualityReport(False, matrix)
-    return DualityReport(det_field(matrix) != 0, matrix)
 
 
 class SquareCheck(NamedTuple):

@@ -1,11 +1,18 @@
 """Frame-level oracles the tests share: no zgrass module calls these.
 
-exchange_defect checks the quadratic Pluecker relations between minors, and
-assemble_even_odd inverts FramePoint.split_even_odd.
+exchange_defect checks the quadratic Pluecker relations between minors,
+assemble_even_odd inverts FramePoint.split_even_odd, coset_reps picks
+representatives of A/(A cap B), mti_duality_check pairs two transverse points
+through them, and gram_pfaffian is the Pfaffian of a Gram matrix.
 """
 
+from typing import NamedTuple
+
+from zgrass.errors import ZgrassError
 from zgrass.grassmann import DEFAULT_WINDOW, FramePoint, _chart_columns
-from zgrass.series import LaurentSeries
+from zgrass.linalg import det_field, echelon
+from zgrass.pfaffian import gram_matrix, pfaffian
+from zgrass.series import LaurentSeries, pair_sigma, sigma0
 from zgrass.symfun import Partition
 
 
@@ -57,3 +64,49 @@ def exchange_defect(u, lam_a, lam_b, slot=0):
         s2[slot], t2[b] = ct[b], cs[slot]
         total -= u.minor(s2) * u.minor(t2)
     return total
+
+
+def coset_reps(a, b):
+    """Representatives of a basis of A/(A intersect B), descending pivot.
+
+    Both points must be exact.  Candidates are A's materialized rows down to
+    the deeper of the two tails; a candidate survives when its B-remainder is
+    independent of the remainders already taken.
+    """
+    if not (a.exact and b.exact):
+        raise ZgrassError("coset representatives need exact frames")
+    jm = max(a.tail_j, b.tail_j)
+    cands = list(a.rows) + [
+        LaurentSeries.monomial(-j) for j in range(a.tail_j + 1, jm + 1)
+    ]
+    _, kept = echelon(
+        [b.reduce(v).drop_below(-b.tail_j).coeffs for v in cands]
+    )
+    return [cands[i] for i in kept]
+
+
+def gram_pfaffian(vectors):
+    return pfaffian(gram_matrix(vectors))
+
+
+class DualityReport(NamedTuple):
+    dual: bool
+    matrix: list
+
+
+def mti_duality_check(a, b):
+    """Whether the twisted pairing puts A/(A cap B) and B/(B cap A) in duality.
+
+    The matrix pairs the B-side representatives against the A-side ones; the
+    verdict is its invertibility (square and with nonzero determinant, taken
+    over the fraction field).
+    """
+    s = sigma0()
+    reps_a = coset_reps(a, b)
+    reps_b = coset_reps(b, a)
+    matrix = [
+        [pair_sigma(rb, ra, s) for ra in reps_a] for rb in reps_b
+    ]
+    if len(reps_a) != len(reps_b):
+        return DualityReport(False, matrix)
+    return DualityReport(det_field(matrix) != 0, matrix)

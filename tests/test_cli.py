@@ -316,6 +316,25 @@ class TestOptions:
                         "family-square", "--weight", "2", capsys=capsys)
         assert code == 0 and rep["report"]["floor"] == -2
 
+    def test_matrix_size_range(self, tmp_path, capsys):
+        def blocks(n):
+            """n x n alternating matrix of 2 x 2 blocks [[0, 1], [-1, 0]]."""
+            def entry(i, j):
+                if i % 2 == 0 and j == i + 1:
+                    return "1"
+                return "-1" if i % 2 and j == i - 1 else "0"
+
+            return {"kind": "matrix", "entries": [
+                [entry(i, j) for j in range(n)] for i in range(n)]}
+
+        for n in (65, 66):
+            code, rep = run(tmp_path, blocks(n), "pfaffian", capsys=capsys)
+            assert code == 2
+            assert rep["error"] == (
+                f"ParseError: a matrix must have 0 to 64 rows, got {n}")
+        code, rep = run(tmp_path, blocks(64), "pfaffian", capsys=capsys)
+        assert code == 0 and rep["report"]["pfaffian"] == "1/1"
+
 
 class TestOrbitCommand:
     def test_curve_input(self, tmp_path, capsys):

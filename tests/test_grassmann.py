@@ -14,15 +14,11 @@ from zgrass.errors import (
     ZeroInput,
     ZgrassError,
 )
-from zgrass.grassmann import (
-    FramePoint,
-    coset_reps,
-    is_prym_flow,
-)
+from zgrass.grassmann import FramePoint, is_prym_flow
 from zgrass.series import LaurentSeries, SubstitutionMap, exp_floor, sigma0
 from zgrass.symfun import schur, schur_p, tconst, tvar
 
-from frame_oracles import assemble_even_odd, exchange_defect
+from frame_oracles import assemble_even_odd, coset_reps, exchange_defect
 
 ONE = LaurentSeries.one()
 

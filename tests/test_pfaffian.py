@@ -1,3 +1,6 @@
+import importlib
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -5,16 +8,20 @@ from hypothesis import given, strategies as st
 
 from zgrass.errors import NotAlternating, ZgrassError
 from zgrass.grassmann import FramePoint
-from zgrass.linalg import det_ring
+from zgrass.linalg import det_field, det_ring
 from zgrass.pfaffian import (
+    _pfaffian_memo,
     gram_matrix,
-    gram_pfaffian,
-    mti_duality_check,
     pfaffian,
     section_square_check,
 )
 from zgrass.series import LaurentSeries, exp_floor
 from zgrass.symfun import tconst, tvar
+
+from frame_oracles import gram_pfaffian, mti_duality_check
+
+# the package attribute zgrass.pfaffian is the re-exported function
+pfaffian_module = importlib.import_module("zgrass.pfaffian")
 
 ONE = LaurentSeries.one()
 
@@ -77,6 +84,105 @@ class TestPfaffian:
         m = alternating(entries)
         p = pfaffian(m)
         assert p * p == det_ring(m)
+
+
+def dense(rng, n):
+    """Alternating n x n matrix with nonzero rational upper entries."""
+    return alternating([
+        [Fraction(rng.choice((-5, -3, -2, -1, 1, 2, 3, 7)), rng.randint(1, 4))
+         for _ in range(n - 1 - i)]
+        for i in range(n - 1)
+    ]) if n else []
+
+
+# entries of the strict upper triangle, zero half the time
+SPARSE = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-9, max_value=9, max_denominator=5),
+)
+
+
+class TestEliminationAgainstExpansion:
+    """pfaffian eliminates; _pfaffian_memo, the subset expansion it falls
+    back to on ring entries without a unit pivot, is the oracle."""
+
+    @given(st.data())
+    def test_sparse_rational(self, data):
+        n = data.draw(st.sampled_from(range(0, 13, 2)))
+        m = alternating([
+            data.draw(st.lists(SPARSE, min_size=n - 1 - i, max_size=n - 1 - i))
+            for i in range(n - 1)
+        ]) if n else []
+        assert pfaffian(m) == _pfaffian_memo(m)
+
+    def test_pivot_swap(self):
+        # row 0 holds its first unit in column 2, then in column 3
+        m = alternating([[Fraction(0), Fraction(2), Fraction(-1)],
+                         [Fraction(3), Fraction(5)], [Fraction(0)]])
+        assert pfaffian(m) == _pfaffian_memo(m) == -13
+        m = alternating([[Fraction(0), Fraction(0), Fraction(4)],
+                         [Fraction(1), Fraction(0)], [Fraction(0)]])
+        assert pfaffian(m) == _pfaffian_memo(m) == 4
+
+    def test_zero_first_row(self):
+        m = alternating([[Fraction(0)] * 5, [Fraction(1)] * 4,
+                         [Fraction(2)] * 3, [Fraction(3)] * 2, [Fraction(4)]])
+        assert pfaffian(m) == _pfaffian_memo(m) == 0
+
+    def test_ring_fallback_partway(self, monkeypatch):
+        """Capped polynomial entries: row 0 pivots on a unit, and the reduced
+        block has no constant terms, so the expansion takes over there."""
+        calls = []
+
+        def counted(m):
+            calls.append(len(m))
+            return _pfaffian_memo(m)
+
+        monkeypatch.setattr(pfaffian_module, "_pfaffian_memo", counted)
+        rng = random.Random(13)
+        t1, t2, a1 = tvar(1), tvar(2), tvar(1, "a")
+
+        def small():
+            return (t1 * rng.randint(-2, 2) + t2 * rng.randint(-2, 2)
+                    + a1 * rng.randint(-1, 1)).with_cap(4)
+
+        for n in (4, 6):
+            upper = [[small() for _ in range(n - 1 - i)] for i in range(n - 1)]
+            upper[0][0] = (tconst(rng.choice((1, -2, 3))) + small()).with_cap(4)
+            upper[-1][0] = upper[-1][0] + t1 * t2
+            m = [[tconst(0).with_cap(4)] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    m[i][j], m[j][i] = upper[i][j - i - 1], -upper[i][j - i - 1]
+            calls.clear()
+            pf = pfaffian(m)
+            assert calls == [n]
+            assert pf == _pfaffian_memo(m)
+            assert pf * pf == det_ring(m)
+
+    def test_square_is_determinant_dense(self):
+        rng = random.Random(24)
+        for n in range(0, 25, 2):
+            m = dense(rng, n)
+            p = pfaffian(m)
+            assert p * p == det_field(m)
+
+    def test_rational_input_never_expands(self, monkeypatch):
+        def refuse(m):
+            raise AssertionError("subset expansion ran on Fraction input")
+
+        monkeypatch.setattr(pfaffian_module, "_pfaffian_memo", refuse)
+        rng = random.Random(40)
+        assert pfaffian(alternating([[Fraction(0), Fraction(0), Fraction(4)],
+                                     [Fraction(1), Fraction(0)],
+                                     [Fraction(0)]])) == 4
+        assert pfaffian(alternating([[Fraction(0)] * 3, [Fraction(1)] * 2,
+                                     [Fraction(2)]])) == 0
+        m = dense(rng, 40)
+        t0 = time.perf_counter()
+        p = pfaffian(m)
+        assert time.perf_counter() - t0 < 1.0
+        assert p * p == det_field(m)
 
 
 class TestGram:

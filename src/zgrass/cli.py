@@ -159,7 +159,7 @@ def cmd_tau(obj, args):
     tau = tau_function(u)
     rep = {"charge": u.charge, "tau": poly_to_json(tau.with_cap(weight))}
     probe = min(weight, 4)
-    moved, capped = tau_flow_consistency(u, probe)
+    moved, capped = tau_flow_consistency(u, tau, probe)
     checks = [_check(
         "flow-consistency", moved == capped,
         f"leading minor along the universal flow, weight {probe}")]
@@ -185,9 +185,11 @@ def cmd_baker(obj, args):
 
 def cmd_bilinear(obj, args):
     u = point_from_json(obj, _win(args))
-    dual = u.orthogonal()
-    r1, r2 = bilinear_residues(u, args.weight, dual=dual)
-    first, second = baker_residual_matrices(u, dual=dual)
+    n = len(u.rows) + 2
+    # one pass: the n-sized matrices are the leading blocks of the larger
+    matrices = baker_residual_matrices(u, max(args.weight, n))
+    r1, r2 = bilinear_residues(matrices, args.weight)
+    first, second = ([row[:n] for row in m[:n]] for m in matrices)
     inv = u.is_sigma_invariant()
     rep = {
         "first_residual": poly_to_json(r1),

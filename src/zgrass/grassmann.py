@@ -101,7 +101,6 @@ class FramePoint:
                 raise IndexMismatch("pivots must be strictly decreasing")
         if self.pivots and self.pivots[-1] < -tail_j:
             raise IndexMismatch("pivot below the tail boundary")
-        self._minor_cache = {}
         self._mat_cache = {}
 
     # -- constructors --------------------------------------------------------
@@ -229,9 +228,6 @@ class FramePoint:
         rows the window could not certify -- and refuse columns below the
         row data floor.
         """
-        cols = tuple(cols)
-        if cols in self._minor_cache:
-            return self._minor_cache[cols]
         n = len(cols)
         if n == 0:
             return Fraction(1)
@@ -256,11 +252,9 @@ class FramePoint:
             for i in range(n)
         ]
         try:
-            val = det_unit(mat)
+            return det_unit(mat)
         except ZgrassError:
-            val = det_ring(mat)
-        self._minor_cache[cols] = val
-        return val
+            return det_ring(mat)
 
     def plucker(self, lam):
         """Pluecker coordinate of the partition lam in the charge-d chart.

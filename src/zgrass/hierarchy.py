@@ -192,11 +192,6 @@ def _constraint(family, lams, tau, route):
     return _evaluate(family, ds, table)
 
 
-def gr0_needed_weight(lam1, lam2):
-    """Largest tau weight any term of the pair constraint touches."""
-    return _needed_weight(GR0, (Partition(lam1), Partition(lam2)))
-
-
 def gr0_constraint(lam1, lam2, tau, route="hall"):
     """Quadratic constraint of the pair of diagrams on tau.
 
@@ -205,11 +200,6 @@ def gr0_constraint(lam1, lam2, tau, route="hall"):
     which one factor vanishes identically.
     """
     return _constraint(GR0, (lam1, lam2), tau, route)
-
-
-def p0_needed_weight(lam1, lam2, lam3):
-    return _needed_weight(P0TRIPLE,
-                          [Partition(x) for x in (lam1, lam2, lam3)])
 
 
 def p0_triple_constraint(lam1, lam2, lam3, tau, route="hall"):

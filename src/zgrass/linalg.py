@@ -63,7 +63,7 @@ def det_unit(rows):
 
     Each column pivots on its first unit (_is_unit).  Raises ZgrassError
     when a column's nonzero entries hold no unit; callers fall back to
-    det_ring.  Over Fraction it never raises (det_field).
+    det_ring.  Over int or Fraction it never raises (det_field).
     """
     n = len(rows)
     a = [list(r) for r in rows]
@@ -89,9 +89,10 @@ def det_unit(rows):
 
 
 def _is_unit(x):
-    """Whether x can be a pivot: a nonzero Fraction, or a ring element with a
-    nonzero constant term (weight-truncated parameter polynomials)."""
-    if isinstance(x, Fraction):
+    """Whether x can be a pivot: a nonzero rational (int or Fraction), or a
+    ring element with a nonzero constant term (weight-truncated parameter
+    polynomials)."""
+    if isinstance(x, (int, Fraction)):
         return x != 0
     return hasattr(x, "constant_term") and x.constant_term() != 0
 

@@ -2,10 +2,8 @@
 
 The residue pairing twisted by the sign flip z -> -z is hemisymmetric, so
 Gram matrices of frame vectors are alternating and carry a Pfaffian -- the
-natural square root of the determinant.  The sign flip is the only twist
-used here; another involution is brought to it first by
-krichever.normalize_involution.  This module computes Pfaffians over any of
-the coefficient rings in use (rationals, time polynomials) by skew
+natural square root of the determinant.  This module computes Pfaffians over
+any of the coefficient rings in use (rationals, time polynomials) by skew
 elimination, O(n^3) ring operations, and decides exactly whether a
 polynomial family of vacuum minors is a perfect square times a scalar.
 """
@@ -15,7 +13,7 @@ from typing import NamedTuple
 
 from .errors import NotAlternating, ZgrassError
 from .linalg import _is_unit
-from .series import _inv_coeff, pair_sigma, sigma0
+from .series import _inv_coeff
 from .symfun import TimePolynomial, _mono_weight, sqrt_series, tconst
 
 
@@ -26,7 +24,7 @@ def pfaffian(m):
     into column 1 with a sign flip; the Pfaffian is that pivot times the
     Pfaffian of B + (v u^T - u v^T) / a[0][1], where B is the trailing block
     and u, v are rows 0 and 1 past column 1.  A zero row gives 0.  Over
-    Fraction every nonzero entry is a unit, so this costs O(n^3).  Ring
+    int or Fraction every nonzero entry is a unit, so this costs O(n^3).  Ring
     entries with no unit pivot fall back to _pfaffian_memo, the expansion
     along the first row memoized on index subsets, O(2^n).
     """
@@ -93,19 +91,6 @@ def _pfaffian_memo(m):
         return acc
 
     return pf(tuple(range(len(m))))
-
-
-def gram_matrix(vectors):
-    """Alternating Gram matrix of the residue pairing twisted by the flip."""
-    s = sigma0()
-    n = len(vectors)
-    m = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            v = pair_sigma(vectors[i], vectors[j], s)
-            m[i][j] = v
-            m[j][i] = -v
-    return m
 
 
 class SquareCheck(NamedTuple):

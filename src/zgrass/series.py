@@ -181,12 +181,6 @@ class LaurentSeries:
         t = None if self.trunc is None else self.trunc + n
         return LaurentSeries({e + n: c for e, c in self.coeffs.items()}, t)
 
-    def derivative(self):
-        t = None if self.trunc is None else self.trunc - 1
-        return LaurentSeries(
-            {e - 1: e * c for e, c in self.coeffs.items() if e}, t
-        )
-
     # -- inversion and substitution ------------------------------------------
 
     def invert(self, prec=32):
@@ -301,10 +295,6 @@ class SubstitutionMap:
 def sigma0():
     """The sign-flip involution z -> -z."""
     return SubstitutionMap(LaurentSeries({1: -1}))
-
-
-def identity_map():
-    return SubstitutionMap(LaurentSeries({1: 1}))
 
 
 def residue(f):

@@ -9,13 +9,14 @@ second times s of the bilinear residue, and named flow parameters.
 
 The Schur polynomial chi_lam in the times t lives here, read off the
 characters: with p_k = k t_k, the coefficient of prod_k t_k^m_k in chi_lam
-is chi^lam(mu) / prod_k m_k! (Murnaghan-Nakayama, Macdonald I.7).  Beside
-it are the p_n of exp(sum_k t_k z^k), the strip sums D_{lam,alpha}, the Hall
-pairing in these coordinates, and the scaled-derivative action f(d~) with
-d~_k = (1/k) d/dt_k; only tvar and schur_p take another family.  partitions,
-schur_p, schur, strip_sum and the helpers _character and _mono_weight are
-memoized with functools.cache for the life of the process: their values
-are shared and never mutated in place.
+is chi^lam(mu) / prod_k m_k! (Murnaghan-Nakayama, Macdonald I.7), and the
+p_n of exp(sum_k t_k z^k) are the one-row chi_(n).  Beside them are the
+strip sums D_{lam,alpha}, the Hall pairing in these coordinates, and the
+scaled-derivative action f(d~) with d~_k = (1/k) d/dt_k; only tvar and
+schur_p take another family.  partitions, schur_p, schur, strip_sum and the
+helpers _character and _mono_weight are memoized with functools.cache for
+the life of the process: their values are shared and never mutated in
+place.
 """
 
 from collections import Counter
@@ -358,20 +359,6 @@ class TimePolynomial:
             out = out + term
         return out * cinv
 
-    def evaluate(self, assign):
-        """Evaluate at rational times {(family, k): value}; absent times are 0."""
-        total = Fraction(0)
-        for m, c in self.terms.items():
-            v = c
-            for var, mult in m:
-                x = Fraction(assign.get(var, 0))
-                if not x:
-                    v = Fraction(0)
-                    break
-                v *= x ** mult
-            total += v
-        return total
-
     def __repr__(self):
         if not self.terms and self.maxweight is None:
             return "0"
@@ -409,17 +396,6 @@ def tconst(c):
 # -- Schur calculus ----------------------------------------------------------
 
 @cache
-def schur_p(n, fam="t"):
-    """Coefficient p_n of z^n in exp(sum_k t_k z^k); zero for n < 0."""
-    if n <= 0:
-        return tconst(1) if n == 0 else TimePolynomial()
-    acc = TimePolynomial()
-    for k in range(1, n + 1):
-        acc = acc + k * tvar(k, fam) * schur_p(n - k, fam)
-    return acc * Fraction(1, n)
-
-
-@cache
 def _character(beads, mu):
     """chi^lam(mu) by Murnaghan-Nakayama on lam's beta-numbers, the bits
     lam_i + len(lam) - i of beads: a rim hook of length mu[0] moves a bead
@@ -451,6 +427,21 @@ def schur(lam):
             terms[tuple((("t", k), m) for k, m in mults)] = Fraction(
                 chi, prod(factorial(m) for _, m in mults))
     return TimePolynomial._canonical(terms, None)
+
+
+@cache
+def schur_p(n, fam="t"):
+    """Coefficient p_n of z^n in exp(sum_k t_k z^k), in the given family;
+    zero for n < 0.  It is the one-row Schur polynomial chi_(n), since
+    chi^(n) = 1 on every class."""
+    if n < 0:
+        return TimePolynomial()
+    p = schur((n,))
+    if fam == "t":
+        return p
+    return TimePolynomial._canonical(
+        {tuple(((fam, k), m) for (_, k), m in mono): c
+         for mono, c in p.terms.items()}, None)
 
 
 @cache

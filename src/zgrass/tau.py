@@ -65,23 +65,22 @@ def plucker_support(u):
 def tau_function(u, cap=None):
     """The tau polynomial of the point in the times t.
 
-    Exact frames give the exact finite polynomial (optionally capped
-    afterwards).  Approximate frames require a cap and sum over all
-    partitions up to that weight.
+    One sum of plucker(lam) * schur_lam: over the support box for exact
+    frames, the exact finite polynomial (optionally capped afterwards);
+    over all partitions up to the cap for approximate frames, which
+    require one.
     """
     if u.exact:
-        acc = TimePolynomial()
-        for lam, v in plucker_support(u):
-            acc = acc + schur(lam.parts) * v
-        return acc if cap is None else acc.with_cap(cap)
-    if cap is None:
+        coords = plucker_support(u)
+    elif cap is None:
         raise ZgrassError("tau of an approximate frame needs a weight cap")
-    acc = TimePolynomial({}, cap)
-    for lam in partitions_upto(cap):
-        v = u.plucker(lam)
+    else:
+        coords = ((lam, u.plucker(lam)) for lam in partitions_upto(cap))
+    acc = TimePolynomial()
+    for lam, v in coords:
         if v:
-            acc = acc + schur(lam.parts).with_cap(cap) * v
-    return acc
+            acc = acc + schur(lam.parts) * v
+    return acc if cap is None else acc.with_cap(cap)
 
 
 def times_flow(cap, floor):
@@ -97,16 +96,17 @@ def times_flow(cap, floor):
     )
 
 
-def tau_flow_consistency(u, cap):
-    """(vacuum minor after the universal flow, capped tau) -- should agree.
+def tau_flow_consistency(u, tau, cap):
+    """(vacuum minor after the universal flow, tau capped) -- should agree.
 
-    A rational minor is lifted into the capped ring, so both sides compare
-    as polynomials known through the same weight.
+    tau is the point's tau polynomial, as tau_function gives it.  A
+    rational minor is lifted into the capped ring, so both sides compare as
+    polynomials known through the same weight.
     """
     minor = u.flow(times_flow(cap, u.window[0])).plucker(())
     if not isinstance(minor, TimePolynomial):
         minor = tconst(minor).with_cap(cap)
-    return minor, tau_function(u, cap=cap)
+    return minor, tau.with_cap(cap)
 
 
 def odd_part(tau):
@@ -163,35 +163,32 @@ def _basis(u, count):
     return rows[:count]
 
 
-def baker(u, weight, fam="t"):
+def baker(u, weight):
     """Baker series of the point, as (basis row, polynomial block) pairs.
 
-    Block i is the universal polynomial p_i in the given family, capped at
-    the weight; rows run through the canonical basis in materialized order
+    Block i is the universal polynomial p_i in the times t, capped at the
+    weight; rows run through the canonical basis in materialized order
     (explicit rows by descending pivot, then tail monomials).  Blocks beyond
     the weight are homogeneous of too-high weight and are omitted.  The full
     object is psi(z, t) = z * sum_i row_i(z) * block_i(t).
     """
     rows = _basis(u, weight)
     return tuple(
-        (rows[i], schur_p(i + 1, fam).with_cap(weight)) for i in range(weight)
+        (rows[i], schur_p(i + 1).with_cap(weight)) for i in range(weight)
     )
 
 
-def baker_adjoint(u, weight):
-    """Baker series of the residue-orthogonal point, in the second times s."""
-    return baker(u.orthogonal(), weight, "s")
-
-
-def baker_residual_matrices(u, count=None, dual=None):
+def baker_residual_matrices(u, count=None):
     """First and second bilinear residual matrices against the dual point.
 
-    first[i][j] = Res u_i w_j vanishes identically because the dual point is
-    the residue orthogonal; second[i][j] = -Res (flip u_i) w_j vanishes
+    first[i][j] = Res u_i w_j vanishes identically because the dual point w
+    is the residue orthogonal; second[i][j] = -Res (flip u_i) w_j vanishes
     exactly when the point is stable under the sign flip, and otherwise its
-    lowest nonzero entry is an honest obstruction witness.
+    lowest nonzero entry is an honest obstruction witness.  count defaults
+    to len(u.rows) + 2.  The bases are prefix-stable, so the matrices of a
+    smaller count are the leading blocks of these.
     """
-    w = dual if dual is not None else u.orthogonal()
+    w = u.orthogonal()
     if count is None:
         count = len(u.rows) + 2
     ub = _basis(u, count)
@@ -203,20 +200,23 @@ def baker_residual_matrices(u, count=None, dual=None):
     return first, second
 
 
-def bilinear_residues(u, weight, dual=None):
+def bilinear_residues(matrices, weight):
     """The two bilinear residuals Res psi(+-z, t) psi*(z, s) dz / z^2.
 
-    Both are read off the residual matrices through the weight:
+    Both are read off the residual matrices (baker_residual_matrices of
+    count at least weight - 1) through the weight:
     sum_ij first/second[i][j] p_{i+1}(t) p_{j+1}(s), the product of the two
     Baker series with the rows paired out.  The first residual vanishes
     identically (duality); the second vanishes exactly when the point is
     sign-invariant -- its lowest nonzero monomial in (t, s) is the
     obstruction witness.
     """
+    if len(matrices[0]) < weight - 1:
+        raise ZgrassError("residual matrices too small for the weight")
     ps = [schur_p(k, "t").with_cap(weight) for k in range(1, weight + 1)]
     qs = [schur_p(k, "s").with_cap(weight) for k in range(1, weight + 1)]
     out = []
-    for m in baker_residual_matrices(u, weight, dual):
+    for m in matrices:
         acc = TimePolynomial({}, weight)
         for i, row in enumerate(m):
             for j in range(weight - i - 1):

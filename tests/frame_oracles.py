@@ -1,19 +1,38 @@
-"""Frame-level oracles the tests share: no zgrass module calls these.
+"""Oracles and helpers the tests share: no zgrass module calls these.
 
 exchange_defect checks the quadratic Pluecker relations between minors,
 assemble_even_odd inverts FramePoint.split_even_odd, coset_reps picks
 representatives of A/(A cap B), mti_duality_check pairs two transverse points
-through them, and gram_pfaffian is the Pfaffian of a Gram matrix.
+through them, and gram_pfaffian is the Pfaffian of the Gram matrix
+gram_matrix.  identity_map is the substitution z -> z, and evaluate reads a
+time polynomial at rational times.
 """
 
+from fractions import Fraction
 from typing import NamedTuple
 
 from zgrass.errors import ZgrassError
 from zgrass.grassmann import DEFAULT_WINDOW, FramePoint, _chart_columns
 from zgrass.linalg import det_field, echelon
-from zgrass.pfaffian import gram_matrix, pfaffian
-from zgrass.series import LaurentSeries, pair_sigma, sigma0
+from zgrass.pfaffian import pfaffian
+from zgrass.series import LaurentSeries, SubstitutionMap, pair_sigma, sigma0
 from zgrass.symfun import Partition
+
+
+def identity_map():
+    return SubstitutionMap(LaurentSeries({1: 1}))
+
+
+def evaluate(poly, assign):
+    """Value of poly at rational times {(family, k): value}; absent times
+    are 0."""
+    total = Fraction(0)
+    for m, c in poly.terms.items():
+        v = c
+        for var, mult in m:
+            v *= Fraction(assign.get(var, 0)) ** mult
+        total += v
+    return total
 
 
 def assemble_even_odd(we, wo, window=DEFAULT_WINDOW):
@@ -62,7 +81,7 @@ def exchange_defect(u, lam_a, lam_b, slot=0):
     for b in range(n):
         s2, t2 = list(cs), list(ct)
         s2[slot], t2[b] = ct[b], cs[slot]
-        total -= u.minor(s2) * u.minor(t2)
+        total -= u.minor(tuple(s2)) * u.minor(tuple(t2))
     return total
 
 
@@ -83,6 +102,19 @@ def coset_reps(a, b):
         [b.reduce(v).drop_below(-b.tail_j).coeffs for v in cands]
     )
     return [cands[i] for i in kept]
+
+
+def gram_matrix(vectors):
+    """Alternating Gram matrix of the residue pairing twisted by the flip."""
+    s = sigma0()
+    n = len(vectors)
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = pair_sigma(vectors[i], vectors[j], s)
+            m[i][j] = v
+            m[j][i] = -v
+    return m
 
 
 def gram_pfaffian(vectors):

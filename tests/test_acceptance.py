@@ -8,6 +8,7 @@ pass/fail line per guarantee.
 
 import time
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
@@ -27,7 +28,6 @@ from zgrass.pfaffian import pfaffian, section_square_check
 from zgrass.series import (
     LaurentSeries,
     exp_floor,
-    identity_map,
     pair_sigma,
     pair_std,
     sigma0,
@@ -43,7 +43,12 @@ from zgrass.tau import (
 
 import random
 
-from frame_oracles import assemble_even_odd, exchange_defect
+from frame_oracles import (
+    assemble_even_odd,
+    evaluate,
+    exchange_defect,
+    identity_map,
+)
 
 ONE = LaurentSeries({0: Fraction(1)})
 
@@ -142,13 +147,15 @@ def test_residue_pairing_laws():
 def test_single_exchange_relations():
     """Quadratic exchange relations between minors vanish exactly on 50
     random charge-zero frames, over all diagram pairs of weight <= 4 and
-    every exchange slot."""
+    every exchange slot.  The oracle reads each column set many times, so
+    the test memoizes the frame's minors."""
     t0 = time.perf_counter()
     rng = random.Random(303)
     diagrams = [tuple(p) for p in partitions_upto(4)]
     for _ in range(50):
         u = rand_point(rng, window=(-6, 6), charge_zero=True)
         assert u.charge == 0
+        u.minor = cache(u.minor)
         for la in diagrams:
             for lb in diagrams:
                 n = max(len(la), len(lb), len(u.rows), 1)
@@ -178,7 +185,7 @@ def test_flow_minor_matches_tau():
                 LaurentSeries({-k: c for k, c in params.items()}),
                 u.window[0])
             lhs = u.flow(g).plucker(())
-            rhs = tau.evaluate({("t", k): c for k, c in params.items()})
+            rhs = evaluate(tau, {("t", k): c for k, c in params.items()})
             assert lhs == rhs
     elapsed_under(t0, 60, "flow/tau oracle")
 
@@ -204,8 +211,8 @@ def test_series_and_frame_residuals_agree():
     ]
     invariants = 0
     for u in corpus:
-        r1, r2 = bilinear_residues(u, 6)
         m1, m2 = baker_residual_matrices(u, count=6)
+        r1, r2 = bilinear_residues((m1, m2), 6)
         inv = u.is_sigma_invariant()
         invariants += inv
         assert not r1

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import zgrass
-from zgrass import __version__, krichever
+from zgrass import __version__, cli, krichever, tau
 from zgrass.cli import main
 from zgrass.errors import ParseError
 from zgrass.grassmann import FramePoint
@@ -499,11 +499,36 @@ class TestGoldenReports:
         assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
 
 
+def test_tau_work_on_three_row_point(tmp_path, capsys, monkeypatch):
+    """One tau per request: the flow-consistency check reads the tau the
+    report prints, so the support box is swept once and no frame reads a
+    minor column set twice."""
+    sweeps, reads = [], []
+    support, minor = tau.plucker_support, FramePoint.minor
+
+    def counting_support(u):
+        sweeps.append(u)
+        return support(u)
+
+    def recording_minor(self, cols):
+        reads.append((self, tuple(cols)))
+        return minor(self, cols)
+
+    monkeypatch.setattr(tau, "plucker_support", counting_support)
+    monkeypatch.setattr(FramePoint, "minor", recording_minor)
+    code, rep = run(tmp_path, THREE_ROW, "tau", capsys=capsys)
+    assert code == 0 and rep["report"]["tau"]["terms"]
+    assert len(sweeps) == 1
+    assert reads and len(set(reads)) == len(reads)
+
+
 def test_bilinear_work_on_three_row_point(tmp_path, capsys, monkeypatch):
-    """One orthogonal complement per request, and no series product with
-    polynomial coefficients: the residuals come off the residual matrices."""
-    calls = {"orthogonal": 0, "poly_series_mul": 0}
+    """One pair of residual matrices and one orthogonal complement per
+    request, and no series product with polynomial coefficients: the
+    residuals come off the residual matrices."""
+    calls = {"orthogonal": 0, "poly_series_mul": 0, "residual_matrices": 0}
     orthogonal, mul = FramePoint.orthogonal, LaurentSeries.__mul__
+    matrices = tau.baker_residual_matrices
 
     def has_poly(x):
         if isinstance(x, LaurentSeries):
@@ -519,12 +544,20 @@ def test_bilinear_work_on_three_row_point(tmp_path, capsys, monkeypatch):
         calls["poly_series_mul"] += has_poly(self) or has_poly(other)
         return mul(self, other)
 
+    def counting_matrices(*args, **kwargs):
+        calls["residual_matrices"] += 1
+        return matrices(*args, **kwargs)
+
+    for module in (tau, cli):
+        monkeypatch.setattr(module, "baker_residual_matrices",
+                            counting_matrices)
     monkeypatch.setattr(FramePoint, "orthogonal", counting_orthogonal)
     monkeypatch.setattr(LaurentSeries, "__mul__", counting_mul)
     monkeypatch.setattr(LaurentSeries, "__rmul__", counting_mul)
     code, rep = run(tmp_path, THREE_ROW, "bilinear", capsys=capsys)
     assert code == 0 and rep["report"]["second_residual"]["terms"]
-    assert calls == {"orthogonal": 1, "poly_series_mul": 0}
+    assert calls == {"orthogonal": 1, "poly_series_mul": 0,
+                     "residual_matrices": 1}
 
 
 def test_cli_import_skips_dataclasses():

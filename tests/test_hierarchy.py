@@ -17,12 +17,10 @@ from zgrass.hierarchy import (
     curve_constraint,
     extraction_operator,
     gr0_constraint,
-    gr0_needed_weight,
-    p0_needed_weight,
     p0_triple_constraint,
     suite_verdict,
 )
-from zgrass.symfun import hall, schur, tconst, tvar
+from zgrass.symfun import Partition, hall, schur, tconst, tvar
 from zgrass.tau import tau_function
 
 DATA = Path(__file__).parent / "data"
@@ -50,6 +48,10 @@ def frame_tau(gens, tail):
 def three_row_tau():
     return frame_tau(
         [{-3: 1, 1: 2, 2: -1}, {-2: 1, 0: 3, 3: 1}, {-1: 1, 2: 1}], 3)
+
+
+def needed_weight(family, *lams):
+    return hierarchy._needed_weight(family, [Partition(x) for x in lams])
 
 
 def suite_rows(entries):
@@ -122,9 +124,9 @@ class TestGR0:
         assert gr0_constraint((), (), pencil_tau() * 3) == -9
 
     def test_needed_weight(self):
-        assert gr0_needed_weight((), ()) == 1
-        assert gr0_needed_weight((2,), (1,)) == 4
-        assert gr0_needed_weight((1,), (3, 1)) == 6
+        assert needed_weight(GR0, (), ()) == 1
+        assert needed_weight(GR0, (2,), (1,)) == 4
+        assert needed_weight(GR0, (1,), (3, 1)) == 6
 
     def test_capped_tau_within_cap(self):
         assert gr0_constraint((), (), pencil_tau().with_cap(1)) == -1
@@ -154,8 +156,8 @@ class TestP0Triple:
         assert p0_triple_constraint((), (), (), pencil_tau() * 2) == -8
 
     def test_needed_weight(self):
-        assert p0_needed_weight((), (), ()) == 2
-        assert p0_needed_weight((1,), (2,), ()) == 5
+        assert needed_weight(P0TRIPLE, (), (), ()) == 2
+        assert needed_weight(P0TRIPLE, (1,), (2,), ()) == 5
 
     def test_unsound_raises(self):
         with pytest.raises(UnsoundTruncation):

@@ -42,6 +42,19 @@ class TestDeterminants:
 
     @given(
         st.lists(
+            st.lists(st.integers(-4, 4), min_size=4, max_size=4),
+            min_size=4,
+            max_size=4,
+        )
+    )
+    @example([[1, 2, 0, 0], [3, 4, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
+    def test_unit_gaussian_takes_int_pivots(self, rows):
+        # a nonzero int is a unit: int rows need no Fraction conversion
+        assert det_unit(rows) == det_field(rows)
+        assert det_unit([[1, 2], [3, 4]]) == -2
+
+    @given(
+        st.lists(
             st.lists(st.integers(-4, 4), min_size=3, max_size=3),
             min_size=3,
             max_size=3,

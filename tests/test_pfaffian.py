@@ -11,14 +11,13 @@ from zgrass.grassmann import FramePoint
 from zgrass.linalg import det_field, det_ring
 from zgrass.pfaffian import (
     _pfaffian_memo,
-    gram_matrix,
     pfaffian,
     section_square_check,
 )
 from zgrass.series import LaurentSeries, exp_floor
 from zgrass.symfun import tconst, tvar
 
-from frame_oracles import gram_pfaffian, mti_duality_check
+from frame_oracles import gram_matrix, gram_pfaffian, mti_duality_check
 
 # the package attribute zgrass.pfaffian is the re-exported function
 pfaffian_module = importlib.import_module("zgrass.pfaffian")
@@ -182,6 +181,23 @@ class TestEliminationAgainstExpansion:
         t0 = time.perf_counter()
         p = pfaffian(m)
         assert time.perf_counter() - t0 < 1.0
+        assert p * p == det_field(m)
+
+    def test_integer_input_never_expands(self, monkeypatch):
+        """A nonzero int is a unit pivot: a dense int matrix of size 18
+        eliminates, and equals the same matrix read as Fraction."""
+        def refuse(m):
+            raise AssertionError("subset expansion ran on int input")
+
+        monkeypatch.setattr(pfaffian_module, "_pfaffian_memo", refuse)
+        rng = random.Random(18)
+        m = [[0] * 18 for _ in range(18)]
+        for i in range(18):
+            for j in range(i + 1, 18):
+                v = rng.choice((-5, -4, -3, -2, -1, 1, 2, 3, 4, 5))
+                m[i][j], m[j][i] = v, -v
+        p = pfaffian(m)
+        assert p == pfaffian([[Fraction(x) for x in r] for r in m])
         assert p * p == det_field(m)
 
 

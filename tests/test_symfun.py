@@ -30,6 +30,8 @@ from zgrass.symfun import (
     tvar,
 )
 
+from frame_oracles import evaluate
+
 t1, t2, t3 = tvar(1), tvar(2), tvar(3)
 half = Fraction(1, 2)
 
@@ -119,8 +121,32 @@ class TestSchur:
                 assert hall(schur(lam), schur(mu)) == expect
 
     def test_evaluate(self):
-        assert schur((2,)).evaluate({("t", 1): 2, ("t", 2): 3}) == 5
-        assert schur((2, 1)).evaluate({("t", 1): 3}) == 9
+        assert evaluate(schur((2,)), {("t", 1): 2, ("t", 2): 3}) == 5
+        assert evaluate(schur((2, 1)), {("t", 1): 3}) == 9
+
+
+def schur_p_recursive(n, fam):
+    """n p_n = sum_k k t_k p_{n-k}: the oracle for schur_p."""
+    ps = [tconst(1)]
+    for m in range(1, n + 1):
+        acc = TimePolynomial()
+        for k in range(1, m + 1):
+            acc = acc + k * tvar(k, fam) * ps[m - k]
+        ps.append(acc * Fraction(1, m))
+    return ps[n]
+
+
+class TestOneRowSchur:
+    """schur_p(n) is the one-row Schur polynomial chi_(n), relabelled."""
+
+    @pytest.mark.parametrize("fam", ["t", "s"])
+    def test_matches_recursion_through_16(self, fam):
+        for n in range(17):
+            assert schur_p(n, fam) == schur_p_recursive(n, fam), (n, fam)
+
+    def test_is_one_row_schur(self):
+        for n in range(9):
+            assert schur_p(n) is schur((n,))
 
 
 def jacobi_trudi(lam):
@@ -220,8 +246,8 @@ def test_only_variable_builders_take_a_family():
     """Tau and the Schur calculus read the times t, and the bilinear residue
     its second times s.  Of the public callables of tau, symfun and
     hierarchy, only those that build the variables of a chosen family take
-    one: tvar, schur_p and baker, each called with more than one family,
-    and TimePolynomial.differentiate, whose (fam, k) names a variable."""
+    one: tvar and schur_p, each called with more than one family, and
+    TimePolynomial.differentiate, whose (fam, k) names a variable."""
     takes_fam = []
     for modname in ("zgrass.tau", "zgrass.symfun", "zgrass.hierarchy"):
         mod = importlib.import_module(modname)
@@ -236,8 +262,8 @@ def test_only_variable_builders_take_a_family():
                 if inspect.isroutine(fn) and {"fam", "fams", "families"} & set(
                         inspect.signature(fn).parameters):
                     takes_fam.append(qual)
-    assert sorted(takes_fam) == ["TimePolynomial.differentiate", "baker",
-                                 "schur_p", "tvar"]
+    assert sorted(takes_fam) == ["TimePolynomial.differentiate", "schur_p",
+                                 "tvar"]
 
 
 class TestHall:

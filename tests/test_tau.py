@@ -1,5 +1,6 @@
 """Tau polynomials, square-root normal forms, Baker residual pairings."""
 
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -23,9 +24,9 @@ from zgrass.symfun import (
     tconst,
     tvar,
 )
+from zgrass import tau as tau_module
 from zgrass.tau import (
     baker,
-    baker_adjoint,
     baker_residual_matrices,
     bilinear_residues,
     odd_part,
@@ -145,16 +146,18 @@ class TestTau:
 
 class TestFlowConsistency:
     def test_pencil(self):
-        got, want = tau_flow_consistency(point_a(Fraction(7)), 3)
+        u = point_a(Fraction(7))
+        got, want = tau_flow_consistency(u, tau_function(u), 3)
         assert got == want
 
     def test_cusp(self):
-        got, want = tau_flow_consistency(cusp(), 3)
+        u = cusp()
+        got, want = tau_flow_consistency(u, tau_function(u), 3)
         assert got == want
 
     def test_negative_charge(self):
         u = FramePoint.from_gens([series({-2: 1, 0: 5})], 2, window=W)
-        got, want = tau_flow_consistency(u, 4)
+        got, want = tau_flow_consistency(u, tau_function(u), 4)
         assert got == want
 
     def test_scalar_minor_on_ring_point(self):
@@ -163,7 +166,7 @@ class TestFlowConsistency:
         u = FramePoint.from_gens(
             [series({0: 1}), series({-3: 1}), series({-4: 1})], 5, window=W
         )
-        got, want = tau_flow_consistency(u, 4)
+        got, want = tau_flow_consistency(u, tau_function(u), 4)
         assert isinstance(got, TimePolynomial) and got.maxweight == 4
         assert got == want
         assert got != want + tvar(4).with_cap(4)
@@ -173,7 +176,7 @@ class TestFlowConsistency:
         u = FramePoint.from_gens(
             [series({-2: 1, 0: 3}), series({-1: 1, 1: 2})], 2, window=W
         )
-        got, want = tau_flow_consistency(u, 4)
+        got, want = tau_flow_consistency(u, tau_function(u), 4)
         assert got == want
         assert want.component(2) == (schur((2,)) * 2 - schur((1, 1)) * 3)
 
@@ -190,8 +193,19 @@ class TestFlowConsistency:
             min_size=1, max_size=2))}) for p in pivots]
         u = FramePoint.from_gens(gens, tail, window=(-16, 12))
         assume(len(u.rows) == nrows)
-        got, want = tau_flow_consistency(u, data.draw(st.integers(6, 8)))
+        got, want = tau_flow_consistency(u, tau_function(u),
+                                         data.draw(st.integers(6, 8)))
         assert got == want
+
+    def test_reads_the_given_tau(self):
+        """The check compares the flowed minor with the tau it is handed,
+        capped, and computes no tau of its own."""
+        u = point_a(Fraction(7))
+        wrong = tau_function(u) + tvar(2)
+        got, want = tau_flow_consistency(u, wrong, 3)
+        assert want == wrong.with_cap(3)
+        assert got != want
+        assert got == tau_function(u, cap=3)
 
     def test_times_flow_unit(self):
         g = times_flow(3, -8)
@@ -299,7 +313,13 @@ class TestBakerSeries:
             baker(moved, 2)
 
 
-def assembled_residues(u, weight, fams=("t", "s"), dual=None):
+def baker_adjoint(u, weight):
+    """Baker series of the residue-orthogonal point, in the second times s."""
+    return tuple((row, schur_p(i + 1, "s").with_cap(weight))
+                 for i, (row, _) in enumerate(baker(u.orthogonal(), weight)))
+
+
+def assembled_residues(u, weight):
     """Oracle: both Baker series assembled as series with polynomial
     coefficients, the residues read off their products."""
 
@@ -310,10 +330,8 @@ def assembled_residues(u, weight, fams=("t", "s"), dual=None):
                 acc = acc + row * block
         return LaurentSeries.monomial(1) * acc
 
-    ft, fs = fams
-    w = dual if dual is not None else u.orthogonal()
-    psi = assemble(baker(u, weight, ft))
-    phi = assemble(baker(w, weight, fs))
+    psi = assemble(baker(u, weight))
+    phi = assemble(baker_adjoint(u, weight))
     form = LaurentSeries.monomial(-2)
     r1 = residue(psi * phi * form)
     r2 = residue(psi.substitute(sigma0()) * phi * form)
@@ -335,10 +353,30 @@ def exact_frames(draw):
     return FramePoint.from_gens(gens, tail, (-12, 12), allow_dependent=True)
 
 
+def residues(u, weight):
+    return bilinear_residues(baker_residual_matrices(u, weight), weight)
+
+
 class TestBilinear:
     @given(exact_frames(), st.integers(0, 8))
     def test_matches_assembled_series(self, u, weight):
-        assert bilinear_residues(u, weight) == assembled_residues(u, weight)
+        assert bilinear_residues(baker_residual_matrices(u, weight),
+                                 weight) == assembled_residues(u, weight)
+
+    @given(exact_frames(), st.integers(0, 8), st.integers(0, 3))
+    def test_larger_matrices_read_the_same(self, u, weight, extra):
+        """The residuals read off larger matrices equal those of the
+        weight-sized pair, whose entries are their leading blocks."""
+        small = baker_residual_matrices(u, weight)
+        big = baker_residual_matrices(u, weight + extra)
+        assert [[row[:weight] for row in m[:weight]] for m in big] == list(
+            small)
+        assert bilinear_residues(big, weight) == bilinear_residues(
+            small, weight)
+
+    def test_too_small_matrices_are_refused(self):
+        with pytest.raises(ZgrassError, match="too small"):
+            bilinear_residues(baker_residual_matrices(pencil(), 2), 4)
 
     def test_first_matrix_vanishes(self):
         first, _ = baker_residual_matrices(pencil(), count=3)
@@ -358,11 +396,11 @@ class TestBilinear:
         assert all(v == 0 for row in second for v in row)
 
     def test_residuals_on_invariant_point(self):
-        r1, r2 = bilinear_residues(cusp(), 4)
+        r1, r2 = residues(cusp(), 4)
         assert not r1 and not r2
 
     def test_pencil_witness(self):
-        r1, r2 = bilinear_residues(pencil(), 3)
+        r1, r2 = residues(pencil(), 3)
         assert not r1
         assert r2
         assert r2.coeff([(("t", 1), 1), (("s", 1), 1)]) == -2
@@ -382,7 +420,7 @@ class TestBilinear:
         assert acc == r2
 
     def test_vacuum_self_dual(self):
-        r1, r2 = bilinear_residues(FramePoint.vacuum(window=W), 3)
+        r1, r2 = residues(FramePoint.vacuum(window=W), 3)
         assert not r1 and not r2
 
     def test_needs_exact(self):
@@ -394,3 +432,12 @@ class TestBilinear:
         first, second = baker_residual_matrices(cusp())
         assert len(first) == 3 and len(first[0]) == 3
         assert all(v == 0 for row in second for v in row)
+
+
+def test_no_callable_takes_a_dual():
+    """A residual request computes the complement once, inside
+    baker_residual_matrices, so no public callable of tau takes one."""
+    takes = [name for name, fn in vars(tau_module).items()
+             if not name.startswith("_") and inspect.isroutine(fn)
+             and "dual" in inspect.signature(fn).parameters]
+    assert takes == []

@@ -3,7 +3,7 @@
 __version__ = "0.1.0"
 
 from .errors import ZgrassError
-from .series import LaurentSeries, SubstitutionMap, pair_std, residue, sigma0
+from .series import LaurentSeries, pair_std, residue
 from .symfun import Partition, TimePolynomial, schur, schur_p, tvar
 from .grassmann import FramePoint
 from .pfaffian import pfaffian, section_square_check
@@ -16,7 +16,6 @@ __all__ = [
     "FramePoint",
     "LaurentSeries",
     "Partition",
-    "SubstitutionMap",
     "TimePolynomial",
     "ZgrassError",
     "__version__",
@@ -31,7 +30,6 @@ __all__ = [
     "schur",
     "schur_p",
     "section_square_check",
-    "sigma0",
     "span_closure",
     "suite_verdict",
     "tau_function",

@@ -61,10 +61,7 @@ def _skip(name, detail):
 
 
 def _win(args):
-    r = args.window
-    if r < 1:
-        raise ParseError(f"--window must be a positive radius, got {r}")
-    return (-r, r)
+    return (-args.window, args.window)
 
 
 def flow_exponential(flows, floor):
@@ -371,8 +368,11 @@ _COMMANDS = {
 # steeply past them (one Xeon core): bilinear on the 3-row point takes 2 s
 # at weight 24 and 18 s at 32; each maxsize step costs about four times the
 # last, seconds and megabytes at 6; orbit on <3,4,5> takes 1.3 s at nmax 64
-# and 4 s at 96
-_RANGES = {"weight": (0, 24), "maxsize": (0, 6), "nmax": (1, 64)}
+# and 4 s at 96; at window radius 64 the slowest command is orbit --nmax 64
+# on the one-row point {-1: 1, 0: 2} over tail 1 (1.6 s), while tau on that
+# point takes 8 s at the window [-2000, 8] (io bounds file windows alike)
+_RANGES = {"weight": (0, 24), "maxsize": (0, 6), "nmax": (1, 64),
+           "window": (1, 64)}
 
 
 def _check_ranges(args):

@@ -33,10 +33,6 @@ class NotSigmaInvariant(ZgrassError):
     """A subspace expected to be stable under the involution is not."""
 
 
-class NotIsotropic(ZgrassError):
-    """A point expected to lie on the isotropic locus does not."""
-
-
 class NotAlternating(ZgrassError):
     """A matrix handed to the pfaffian is not alternating."""
 
@@ -58,7 +54,7 @@ class NotClosed(ZgrassError):
 
 
 class NotInvolution(ZgrassError):
-    """A substitution map fails s(s(z)) = z on its sound range."""
+    """An involution's image s fails s(s(z)) = z on its sound range."""
 
 
 class NotNormalizable(ZgrassError):

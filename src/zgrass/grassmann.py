@@ -24,10 +24,10 @@ much of a tail gets materialized when a point moves, and computations that
 would need data the window never certified raise WindowTooSmall rather than
 return a number.
 
-The one involution frames know is the sign flip z -> -z (series.sigma0): it
-maps monomials to monomials, so twisted complements, isotropy and invariance
-stay exact.  A curve's involution with linear part -1 is first brought to it
-by krichever.normalize_involution.
+The one involution frames know is the sign flip z -> -z (LaurentSeries.flip):
+it maps monomials to monomials, so isotropy and invariance stay exact, and the
+complement twisted by it is the flip of the plain one.  A curve's involution
+with linear part -1 is first brought to it by krichever.normalize_involution.
 """
 
 from fractions import Fraction
@@ -43,7 +43,7 @@ from .errors import (
     ZgrassError,
 )
 from .linalg import det_ring, det_unit, echelon, nullspace
-from .series import LaurentSeries, pair_sigma, sigma0
+from .series import LaurentSeries, pair_sigma
 from .symfun import Partition
 
 DEFAULT_WINDOW = (-32, 32)
@@ -324,32 +324,20 @@ class FramePoint:
 
     # -- orthogonal complement -------------------------------------------------
 
-    def orthogonal(self, sub=None):
-        """Orthogonal complement under the residue pairing Res f (s*g) dz.
+    def orthogonal(self):
+        """Orthogonal complement under the residue pairing Res f g dz.
 
-        sub=None is the plain residue pairing and sub=sigma0() the pairing
-        twisted by the sign flip; both keep the complement polynomial-type
-        and exact.  Any other map is refused: bring an involution to the sign
-        flip with krichever.normalize_involution first.  The complement's
-        charge is minus the charge of the point.
+        The complement is polynomial-type and exact, of charge minus the
+        charge of the point.  Under the pairing twisted by the sign flip the
+        complement is the flip of this one.
         """
-        flip = sub is not None
-        if flip and not getattr(sub, "sign_flip", False):
-            raise ZgrassError(
-                "frames pair only under the sign flip; bring the involution "
-                "to it with normalize_involution"
-            )
         J = self.tail_j
         floor_e = -(max(r.top for r in self.rows) + 1) if self.rows else J
         if floor_e < self.window[0]:
             raise WindowTooSmall("complement tail starts below the window")
         cand = range(floor_e, J)
         mat = [
-            [
-                (-1 if flip and e % 2 else 1)
-                * row.coeffs.get(-1 - e, Fraction(0))
-                for e in cand
-            ]
+            [row.coeffs.get(-1 - e, Fraction(0)) for e in cand]
             for row in self.rows
         ]
         basis = nullspace(mat, len(cand))
@@ -373,18 +361,17 @@ class FramePoint:
         """
         if self.charge != 0:
             raise NonzeroIndex(f"isotropy needs charge 0, got {self.charge}")
-        s = sigma0()
         J = self.tail_j
         parity = sum(1 for p in self.pivots if p >= 0) % 2
         for i, r in enumerate(self.rows):
             for k in range(i, len(self.rows)):
-                v = pair_sigma(r, self.rows[k], s)
+                v = pair_sigma(r, self.rows[k])
                 if v:
                     return IsotropyReport(False, parity, ("row", i, "row", k, v))
         for i, r in enumerate(self.rows):
             top = r.top if r.top is not None else -(J + 1)
             for j in range(J + 1, top + 2):
-                v = pair_sigma(r, LaurentSeries.monomial(-j), s)
+                v = pair_sigma(r, LaurentSeries.monomial(-j))
                 if v:
                     return IsotropyReport(
                         False, parity, ("row", i, "tail", -j, v)
@@ -399,8 +386,7 @@ class FramePoint:
         """
         if not self.exact:
             raise ZgrassError("invariance test needs an exact frame")
-        s = sigma0()
-        return all(self.contains(r.substitute(s)) for r in self.rows)
+        return all(self.contains(r.flip()) for r in self.rows)
 
     # -- even/odd splitting -----------------------------------------------------
 
@@ -416,7 +402,7 @@ class FramePoint:
         half = Fraction(1, 2)
         ev, od = [], []
         for r in self.rows:
-            fl = r.substitute(sigma0())
+            fl = r.flip()
             plus = (r + fl) * half
             minus = (r - fl) * half
             if plus:
@@ -447,7 +433,7 @@ def is_prym_flow(g):
     defect lives entirely below the sound range), while a generic unit like
     1 + a z fails at the first cross term.
     """
-    defect = g * g.substitute(sigma0()) - 1
+    defect = g * g.flip() - 1
     if not defect.coeffs:
         return True
     v = g.valuation()

@@ -20,8 +20,8 @@ Input files are single JSON objects tagged by "kind":
 A family flow value is either an exact rational or the name of a formal
 coefficient family ("a" above); the name "t" is reserved for the times.
 Exponent keys are spelled canonically ("1", "-2"; not "01", "+1" or "-0"),
-no object repeats a key, a family's floor lies in -48..-1, and a matrix has
-at most 64 rows.
+no object repeats a key, a window lies in -64..64 (as the --window radius
+does), a family's floor lies in -48..-1, and a matrix has at most 64 rows.
 """
 
 import json
@@ -117,9 +117,10 @@ def _window_from_json(obj, default):
         not isinstance(win, list)
         or len(win) != 2
         or not all(isinstance(v, int) and not isinstance(v, bool) for v in win)
-        or win[0] >= win[1]
+        or not -64 <= win[0] < win[1] <= 64
     ):
-        raise ParseError(f"window must be [lo, hi] with lo < hi, got {win!r}")
+        raise ParseError("window must be [lo, hi] with -64 <= lo < hi <= 64, "
+                         f"got {win!r}")
     return tuple(win)
 
 

@@ -16,6 +16,9 @@ multiplicative closure, the stabilizer ring of a point, the dimension
 profile of its flow orbit (whose stable value counts the gaps of the pole
 semigroup), the even-variable quotient of a sign-invariant ring point, and
 the coordinate normalization that turns an involution into the sign flip.
+An involution is given by its image series s(z); normalize_involution is the
+one place a general substitution is composed, and every other tool here
+reads the involution as LaurentSeries.flip.
 """
 
 from fractions import Fraction
@@ -31,7 +34,7 @@ from .errors import (
 )
 from .grassmann import DEFAULT_WINDOW, FramePoint
 from .linalg import nullspace
-from .series import LaurentSeries, SubstitutionMap
+from .series import LaurentSeries
 
 
 class CurveData(NamedTuple):
@@ -276,20 +279,22 @@ def quotient_ring(u):
 
 
 def normalize_involution(s, prec=16):
-    """Coordinate w(z) in which the involution becomes the sign flip.
+    """Coordinate w(z) in which the involution z -> s(z) becomes the sign flip.
 
-    Requires linear part exactly -1 (any other involution fixing the origin
-    is the identity) and verifies s(s(z)) = z on the sound range.  Solved
+    s and w are series of valuation 1.  Requires linear part exactly -1 (any
+    other involution fixing the origin is the identity) and verifies
+    s(s(z)) = z on the sound range, raising NotInvolution otherwise.  Solved
     order by order: even orders are corrected, odd orders must already
     cancel -- the returned w is the unique solution with vanishing odd
     coefficients past the first.
     """
-    if isinstance(s, LaurentSeries):
-        s = SubstitutionMap(s)
-    if s.image.coeff(1) != -1:
+    z = LaurentSeries.monomial(1)
+    if s.coeff(1) != -1:
         raise NotNormalizable("involution must have linear coefficient -1")
-    s.check_involution()
-    w = LaurentSeries.monomial(1)
+    delta = s.substitute(s) - z
+    if delta.coeffs:
+        raise NotInvolution(f"s(s(z)) - z = {delta}")
+    w = z
     for k in range(2, prec + 1):
         delta = (w.substitute(s, prec=prec + 2) + w).coeff(k)
         if k % 2 == 0:
@@ -299,4 +304,4 @@ def normalize_involution(s, prec=16):
             raise NotNormalizable(
                 f"odd-order obstruction {delta} at z^{k}"
             )
-    return SubstitutionMap(w)
+    return w

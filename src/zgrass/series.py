@@ -12,11 +12,18 @@ Coefficient values are Fractions by default, but any commutative ring element
 with +, -, *, bool and (for inversion) either Fraction division or an
 `inverse_unit` method works; the time polynomials in zgrass.symfun are used
 this way for flow and family computations.
+
+The one involution the package uses is the sign flip z -> -z, the method
+`flip`: it changes the sign of the odd coefficients and keeps `trunc`, and
+`pair_sigma` is the residue pairing twisted by it.  `substitute` composes
+with a general coordinate change of valuation 1; only
+krichever.normalize_involution needs one, to bring a curve's involution to
+the flip.
 """
 
 from fractions import Fraction
 
-from .errors import InsufficientPrecision, NotInvolution, ZeroInput, ZgrassError
+from .errors import InsufficientPrecision, ZeroInput, ZgrassError
 
 
 def _tmin(*ts):
@@ -181,7 +188,7 @@ class LaurentSeries:
         t = None if self.trunc is None else self.trunc + n
         return LaurentSeries({e + n: c for e, c in self.coeffs.items()}, t)
 
-    # -- inversion and substitution ------------------------------------------
+    # -- inversion, the sign flip and substitution ---------------------------
 
     def invert(self, prec=32):
         """Multiplicative inverse.
@@ -219,28 +226,25 @@ class LaurentSeries:
         data = {k - v: cinv * bk for k, bk in b.items()}
         return LaurentSeries(data, tout)
 
+    def flip(self):
+        """The series at -z: odd coefficients change sign, trunc is kept."""
+        return LaurentSeries(
+            {e: -c if e % 2 else c for e, c in self.coeffs.items()}, self.trunc
+        )
+
     def substitute(self, sub, prec=32):
-        """Compose with a substitution z -> w(z), where w has valuation 1."""
-        if isinstance(sub, SubstitutionMap):
-            if sub.sign_flip:
-                return LaurentSeries(
-                    {e: c if e % 2 == 0 else -c for e, c in self.coeffs.items()},
-                    self.trunc,
-                )
-            w = sub.image
-        else:
-            w = sub
-        if w.valuation() != 1:
+        """Compose with z -> sub(z), where the series sub has valuation 1."""
+        if sub.valuation() != 1:
             raise ZgrassError("substitution image must have valuation 1")
         out = LaurentSeries({}, self.trunc)
         winv = None
         for e in sorted(self.coeffs):
             c = self.coeffs[e]
             if e >= 0:
-                term = w ** e
+                term = sub ** e
             else:
                 if winv is None:
-                    winv = w.invert(prec)
+                    winv = sub.invert(prec)
                 term = winv ** (-e)
             out = out + term * c
         return out
@@ -262,41 +266,6 @@ class LaurentSeries:
         return " + ".join(bits) if bits else "0"
 
 
-class SubstitutionMap:
-    """A change of local coordinate z -> image(z), valuation exactly 1.
-
-    sign_flip marks the involution z -> -z (an image that is exactly -z),
-    which gets an exact fast path (no precision is lost flipping signs).
-    Maps compare by identity.
-    """
-
-    __slots__ = ("image", "sign_flip")
-
-    def __init__(self, image):
-        if image.valuation() != 1:
-            raise ZgrassError("substitution image must have valuation 1")
-        self.image = image
-        self.sign_flip = image == LaurentSeries({1: -1})
-
-    def compose(self, other):
-        """The map z -> self(other(z))."""
-        img = self.image.substitute(other)
-        return SubstitutionMap(img)
-
-    def check_involution(self):
-        """Verify s(s(z)) = z on the sound range; raise NotInvolution if not."""
-        twice = self.compose(self)
-        delta = twice.image - LaurentSeries.monomial(1)
-        if delta.coeffs:
-            raise NotInvolution(f"s(s(z)) - z = {delta}")
-        return True
-
-
-def sigma0():
-    """The sign-flip involution z -> -z."""
-    return SubstitutionMap(LaurentSeries({1: -1}))
-
-
 def residue(f):
     """Coefficient of z^-1, i.e. the residue of f dz at the origin."""
     return f.coeff(-1)
@@ -315,9 +284,9 @@ def pair_std(f, g):
     return total if total else Fraction(0)
 
 
-def pair_sigma(f, g, sub):
-    """Twisted residue pairing Res f(z) g(s(z)) dz for a substitution s."""
-    return pair_std(f, g.substitute(sub))
+def pair_sigma(f, g):
+    """Twisted residue pairing Res f(z) g(-z) dz under the sign flip."""
+    return pair_std(f, g.flip())
 
 
 def exp_floor(u, floor):

@@ -27,8 +27,8 @@ product is the slower route the tests keep as an oracle.
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import NotIsotropic, OddParity, ZgrassError
-from .series import LaurentSeries, pair_std, sigma0
+from .errors import OddParity, ZgrassError
+from .series import LaurentSeries, pair_std
 from .symfun import (
     Partition,
     TimePolynomial,
@@ -128,24 +128,18 @@ class TauBar(NamedTuple):
     root: TimePolynomial
 
 
-def taubar(tau, weight, point=None):
+def taubar(tau, weight):
     """Square-root normal form of the odd-times restriction of tau.
 
     Returns (scale, root) with tau|odd = scale * root^2 through the weight
     and root(0) = 1.  The form exists exactly when tau(0) != 0, and a tau
     that vanishes at the origin raises OddParity.  Odd parity is one cause
-    of that, not the only one: passing the source point checks the isotropy
-    hypothesis the factorization belongs to and reads the parity off it, so
-    that tau(0) = 0 on a parity-0 point raises a plain ZgrassError instead.
+    of that, not the only one; the caller that holds the point reads the
+    cause off its isotropy (as `zgrass family-square` does).
     """
-    iso = point.isotropy() if point is not None else None
-    if iso is not None and not iso.isotropic:
-        raise NotIsotropic("square-root normal form needs an isotropic point")
     restricted = odd_part(tau)
     c = restricted.constant_term()
     if c == 0:
-        if iso is not None and iso.parity == 0:
-            raise ZgrassError("tau vanishes at the origin of a parity-0 point")
         raise OddParity("tau vanishes at the origin")
     u = restricted * (Fraction(1) / c)
     return TauBar(c, sqrt_series(u, weight))
@@ -193,10 +187,8 @@ def baker_residual_matrices(u, count=None):
         count = len(u.rows) + 2
     ub = _basis(u, count)
     wb = _basis(w, count)
-    flip = sigma0()
     first = [[pair_std(a, b) for b in wb] for a in ub]
-    second = [[-pair_std(fa, b) for b in wb]
-              for fa in (a.substitute(flip) for a in ub)]
+    second = [[-pair_std(fa, b) for b in wb] for fa in [a.flip() for a in ub]]
     return first, second
 
 

@@ -4,8 +4,8 @@ exchange_defect checks the quadratic Pluecker relations between minors,
 assemble_even_odd inverts FramePoint.split_even_odd, coset_reps picks
 representatives of A/(A cap B), mti_duality_check pairs two transverse points
 through them, and gram_pfaffian is the Pfaffian of the Gram matrix
-gram_matrix.  identity_map is the substitution z -> z, and evaluate reads a
-time polynomial at rational times.
+gram_matrix.  flipped is the image of a point under the sign flip, and
+evaluate reads a time polynomial at rational times.
 """
 
 from fractions import Fraction
@@ -15,12 +15,18 @@ from zgrass.errors import ZgrassError
 from zgrass.grassmann import DEFAULT_WINDOW, FramePoint, _chart_columns
 from zgrass.linalg import det_field, echelon
 from zgrass.pfaffian import pfaffian
-from zgrass.series import LaurentSeries, SubstitutionMap, pair_sigma, sigma0
+from zgrass.series import LaurentSeries, pair_sigma
 from zgrass.symfun import Partition
 
 
-def identity_map():
-    return SubstitutionMap(LaurentSeries({1: 1}))
+def flipped(u):
+    """The image of the point under z -> -z (the tail maps onto itself).
+
+    flipped(u.orthogonal()) is the complement of u under the twisted
+    pairing pair_sigma."""
+    return FramePoint.from_gens(
+        [r.flip() for r in u.rows], u.tail_j, u.window, allow_dependent=True,
+    )
 
 
 def evaluate(poly, assign):
@@ -106,12 +112,11 @@ def coset_reps(a, b):
 
 def gram_matrix(vectors):
     """Alternating Gram matrix of the residue pairing twisted by the flip."""
-    s = sigma0()
     n = len(vectors)
     m = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            v = pair_sigma(vectors[i], vectors[j], s)
+            v = pair_sigma(vectors[i], vectors[j])
             m[i][j] = v
             m[j][i] = -v
     return m
@@ -133,11 +138,10 @@ def mti_duality_check(a, b):
     verdict is its invertibility (square and with nonzero determinant, taken
     over the fraction field).
     """
-    s = sigma0()
     reps_a = coset_reps(a, b)
     reps_b = coset_reps(b, a)
     matrix = [
-        [pair_sigma(rb, ra, s) for ra in reps_a] for rb in reps_b
+        [pair_sigma(rb, ra) for ra in reps_a] for rb in reps_b
     ]
     if len(reps_a) != len(reps_b):
         return DualityReport(False, matrix)

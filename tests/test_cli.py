@@ -305,6 +305,24 @@ class TestOptions:
                         capsys=capsys)
         assert code == 0 and rep["report"]["dims"]
 
+    def test_window_range(self, tmp_path, capsys):
+        for radius in ("0", "-3", "65"):
+            code, rep = run(tmp_path, CUSP, "tau", "--window", radius,
+                            capsys=capsys)
+            assert code == 2
+            assert rep["error"] == (
+                f"ParseError: --window must be between 1 and 64, got {radius}")
+        for win in ([-65, 8], [-8, 65], [8, 8]):
+            code, rep = run(tmp_path, dict(CUSP, window=win), "tau",
+                            capsys=capsys)
+            assert code == 2
+            assert rep["error"] == (
+                "ParseError: window must be [lo, hi] with -64 <= lo < hi "
+                f"<= 64, got {win!r}")
+        code, rep = run(tmp_path, dict(CUSP, window=[-64, 64]), "tau",
+                        "--window", "64", capsys=capsys)
+        assert code == 0 and rep["config"]["window"] == 64
+
     def test_floor_range(self, tmp_path, capsys):
         for floor in (0, 1, -49, -96):
             code, rep = run(tmp_path, dict(TWO_FAMILY, floor=floor),

@@ -1,10 +1,12 @@
 import importlib
 import inspect
+import pkgutil
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import zgrass
 from zgrass.errors import (
     DependentGenerators,
     IndexMismatch,
@@ -15,10 +17,15 @@ from zgrass.errors import (
     ZgrassError,
 )
 from zgrass.grassmann import FramePoint, is_prym_flow
-from zgrass.series import LaurentSeries, SubstitutionMap, exp_floor, sigma0
+from zgrass.series import LaurentSeries, exp_floor, pair_sigma
 from zgrass.symfun import schur, schur_p, tconst, tvar
 
-from frame_oracles import assemble_even_odd, coset_reps, exchange_defect
+from frame_oracles import (
+    assemble_even_odd,
+    coset_reps,
+    exchange_defect,
+    flipped,
+)
 
 ONE = LaurentSeries.one()
 
@@ -255,18 +262,7 @@ class TestOrthogonal:
 
     def test_flip_complement_fixes_isotropic_point(self):
         u = point_a(Fraction(5, 3))
-        assert u.orthogonal(sigma0()).same_subspace(u)
-        # a map whose image is exactly -z is the sign flip, however built
-        flip = SubstitutionMap(series({1: -1})).compose(SubstitutionMap(mono(1)))
-        assert u.orthogonal(flip).same_subspace(u)
-
-    def test_general_substitution(self):
-        # frames know only the sign flip; the identity map and a bare series
-        # (which has no sign_flip mark) are refused alike
-        for s in (SubstitutionMap(series({1: 1, 2: 1})),
-                  SubstitutionMap(mono(1)), series({1: -1})):
-            with pytest.raises(ZgrassError, match="normalize_involution"):
-                point_a(1).orthogonal(s)
+        assert flipped(u.orthogonal()).same_subspace(u)
 
 
 class TestIsotropy:
@@ -575,42 +571,47 @@ def isotropic_shapes(draw):
     return FramePoint.from_gens(gens, p + 1)
 
 
-def flipped(u):
-    """The image of the point under z -> -z (the tail maps onto itself)."""
-    s = sigma0()
-    return FramePoint.from_gens(
-        [r.substitute(s) for r in u.rows], u.tail_j, u.window,
-        allow_dependent=True,
-    )
-
-
 class TestSignFlip:
     @settings(max_examples=300)
     @given(st.one_of(small_frames(), isotropic_shapes()))
     def test_twisted_complement_and_isotropy(self, u):
-        twisted = u.orthogonal(sigma0())
-        assert twisted.same_subspace(flipped(u.orthogonal()))
+        # the flip of the residue complement pairs to zero with the point
+        # under pair_sigma and has the opposite charge, so it is the whole
+        # twisted complement; below the floor nothing in either space can
+        # meet a partner, since neither reaches above -floor - 1
+        twisted = flipped(u.orthogonal())
+        assert twisted.charge == -u.charge
+        reach = max([abs(u.tail_j), abs(twisted.tail_j)]
+                    + [r.top for r in u.rows + twisted.rows])
+        rows_u, _ = u.materialized(-(reach + 1))
+        rows_t, _ = twisted.materialized(-(reach + 1))
+        assert all(pair_sigma(a, b) == 0 for a in rows_u for b in rows_t)
         if u.charge == 0:
             assert u.isotropy().isotropic == u.same_subspace(twisted)
 
 
-def test_only_orthogonal_takes_a_substitution():
-    """The sign flip is the frame layer's one involution: of the public
-    callables of grassmann and pfaffian, only FramePoint.orthogonal takes a
-    substitution, to choose the plain or the twisted complement."""
+def test_only_the_normal_form_takes_a_substitution():
+    """The sign flip is the one involution, a series method: of the public
+    callables of every zgrass module, only LaurentSeries.substitute and
+    normalize_involution take a substitution (its image series, named sub
+    or s), and zgrass exports no map type."""
     takes_sub = []
-    # the package attribute zgrass.pfaffian is the re-exported function
-    for modname in ("zgrass.grassmann", "zgrass.pfaffian"):
+    for info in pkgutil.iter_modules(zgrass.__path__):
+        modname = f"zgrass.{info.name}"
         mod = importlib.import_module(modname)
         for name, obj in vars(mod).items():
             if name.startswith("_") or getattr(obj, "__module__", "") != modname:
                 continue
             members = [(name, obj)]
             if inspect.isclass(obj):
+                assert not name.endswith("Map"), name
                 members += [(f"{name}.{k}", getattr(obj, k))
                             for k in vars(obj) if not k.startswith("_")]
             for qual, fn in members:
-                if (inspect.isroutine(fn)
-                        and "sub" in inspect.signature(fn).parameters):
+                if inspect.isroutine(fn) and {"sub", "s"} & set(
+                        inspect.signature(fn).parameters):
                     takes_sub.append(qual)
-    assert takes_sub == ["FramePoint.orthogonal"]
+    assert sorted(takes_sub) == ["LaurentSeries.substitute",
+                                 "normalize_involution"]
+    assert not [n for n in zgrass.__all__
+                if n.endswith("Map") or n == "sigma0"]

@@ -29,7 +29,7 @@ from zgrass.krichever import (
     stabilizer,
 )
 from zgrass.linalg import nullspace
-from zgrass.series import LaurentSeries, sigma0
+from zgrass.series import LaurentSeries
 
 W = (-8, 8)
 ONE = LaurentSeries.one()
@@ -404,7 +404,7 @@ class TestNormalizeInvolution:
         return (ONE + mono(1)).invert(12) * mono(1) * Fraction(-1)
 
     def test_frozen_coefficients(self):
-        w = normalize_involution(self.oracle(), prec=8).image
+        w = normalize_involution(self.oracle(), prec=8)
         got = [w.coeff(k) for k in range(1, 7)]
         assert got == [
             Fraction(1), Fraction(-1, 2), Fraction(0),
@@ -413,13 +413,13 @@ class TestNormalizeInvolution:
 
     def test_conjugates_to_sign_flip(self):
         s = self.oracle()
-        w = normalize_involution(s, prec=8).image
+        w = normalize_involution(s, prec=8)
         ws = w.substitute(s)
         assert all((ws + w).coeff(k) == 0 for k in range(1, 9))
 
     def test_sign_flip_is_already_normal(self):
-        w = normalize_involution(sigma0(), prec=10)
-        assert w.image == LaurentSeries.monomial(1)
+        w = normalize_involution(mono(1, -1), prec=10)
+        assert w == LaurentSeries.monomial(1)
 
     def test_rejects_non_involution(self):
         s = mono(1, -1) + mono(2) + mono(3)

@@ -7,15 +7,11 @@ from hypothesis import strategies as st
 from zgrass.errors import InsufficientPrecision, ZeroInput, ZgrassError
 from zgrass.series import (
     LaurentSeries,
-    SubstitutionMap,
     exp_floor,
     pair_sigma,
     pair_std,
     residue,
-    sigma0,
 )
-
-from frame_oracles import identity_map
 
 L = LaurentSeries
 
@@ -182,21 +178,21 @@ class TestInvert:
 class TestSubstitute:
     def test_sign_flip(self):
         f = L({-1: 1, 0: 2, 1: 1, 2: 5})
-        assert f.substitute(sigma0()) == L({-1: -1, 0: 2, 1: -1, 2: 5})
+        assert f.flip() == L({-1: -1, 0: 2, 1: -1, 2: 5})
 
     def test_sign_flip_keeps_trunc(self):
         f = L({1: 1}, trunc=3)
-        assert f.substitute(sigma0()).trunc == 3
+        assert f.flip().trunc == 3
 
-    def test_sign_flip_recognized_by_image(self):
-        assert SubstitutionMap(L({1: -1})).sign_flip
-        assert sigma0().compose(identity_map()).sign_flip
-        assert not SubstitutionMap(L({1: -1}, trunc=4)).sign_flip
-        assert not SubstitutionMap(L({1: -1, 2: 1})).sign_flip
+    @given(truncated_polys())
+    def test_flip_is_substitution_of_minus_z(self, f):
+        # the general composition agrees with the flip wherever it is known
+        assert f.flip() == f.substitute(L({1: -1}))
+        assert f.flip().flip() == f
 
     def test_identity(self):
         f = L({-2: 1, 3: 4})
-        assert f.substitute(identity_map()) == f
+        assert f.substitute(L({1: 1})) == f
 
     def test_inverse_exponent(self):
         # z^-1 under z -> z + z^2 gives 1/(z(1+z)) = z^-1 - 1 + z - z^2 + ...
@@ -210,12 +206,13 @@ class TestSubstitute:
             L({0: 1}).substitute(L({2: 1}))
 
     def test_composition_of_involution(self):
-        sigma0().check_involution()
-        s = SubstitutionMap(L({1: -1, 2: 1}))
-        comp = s.compose(s)
+        flip = L({1: -1})
+        assert flip.substitute(flip) == L({1: 1})
+        s = L({1: -1, 2: 1})
+        comp = s.substitute(s)
         # not an involution: s(s(z)) = z - 2z^3 + ...
-        assert comp.image.coeff(1) == 1
-        assert comp.image.coeff(3) == -2
+        assert comp.coeff(1) == 1
+        assert comp.coeff(3) == -2
 
 
 class TestPairings:
@@ -229,9 +226,8 @@ class TestPairings:
             residue(L({-3: 1}, trunc=-1))
 
     def test_frozen_sigma_values(self):
-        s = sigma0()
-        assert pair_sigma(L.one(), L({-1: 1}), s) == -1
-        assert pair_sigma(L({-1: 1}), L.one(), s) == 1
+        assert pair_sigma(L.one(), L({-1: 1})) == -1
+        assert pair_sigma(L({-1: 1}), L.one()) == 1
 
     def test_std_pairing(self):
         assert pair_std(L({-1: 1}), L.one()) == 1
@@ -255,18 +251,16 @@ class TestPairings:
 
     @given(laurent_polys(), laurent_polys())
     def test_hemisymmetry(self, f, g):
-        s = sigma0()
-        assert pair_sigma(f, g, s) == -pair_sigma(g, f, s)
+        assert pair_sigma(f, g) == -pair_sigma(g, f)
 
     @given(laurent_polys())
     def test_self_pairing_vanishes(self, f):
-        assert pair_sigma(f, f, sigma0()) == 0
+        assert pair_sigma(f, f) == 0
 
     @given(laurent_polys(), laurent_polys(), laurent_polys())
     def test_bilinearity(self, f, g, h):
-        s = sigma0()
-        lhs = pair_sigma(f + 2 * g, h, s)
-        assert lhs == pair_sigma(f, h, s) + 2 * pair_sigma(g, h, s)
+        lhs = pair_sigma(f + 2 * g, h)
+        assert lhs == pair_sigma(f, h) + 2 * pair_sigma(g, h)
 
 
 class TestExpFloor:

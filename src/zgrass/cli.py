@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import __version__
 from .errors import OddParity, ParseError, ZgrassError
 from .grassmann import FramePoint, _is_unit_one, is_prym_flow
-from .hierarchy import constraint_suite, suite_verdict
+from .hierarchy import constraint_suite, suite_verdict, suite_weight
 from .io import (
     curve_from_json,
     family_from_json,
@@ -153,12 +153,14 @@ def cmd_check(obj, args):
 def cmd_tau(obj, args):
     u = point_from_json(obj, _win(args))
     weight = args.weight
-    tau = tau_function(u)
-    rep = {"charge": u.charge, "tau": poly_to_json(tau.with_cap(weight))}
+    tau = tau_function(u, weight)
+    rep = {"charge": u.charge, "tau": poly_to_json(tau)}
     probe = min(weight, 4)
-    moved, capped = tau_flow_consistency(u, tau, probe)
+    # tau - moved is known through the lower cap, the probe, and vanishes
+    # there exactly when the flowed minor matches tau
+    moved = tau_flow_consistency(u, probe)
     checks = [_check(
-        "flow-consistency", moved == capped,
+        "flow-consistency", not tau - moved,
         f"leading minor along the universal flow, weight {probe}")]
     return rep, checks
 
@@ -214,7 +216,8 @@ def cmd_bilinear(obj, args):
 
 def cmd_hierarchy(obj, args):
     u = point_from_json(obj, _win(args))
-    entries = constraint_suite(tau_function(u), args.maxsize)
+    tau = tau_function(u, suite_weight(args.maxsize))
+    entries = constraint_suite(tau, args.maxsize)
     verdicts = suite_verdict(entries)
     rep = {
         "suite": [
@@ -352,33 +355,56 @@ def cmd_family_square(obj, args):
 
 # -- driver --------------------------------------------------------------------
 
+# name -> (handler, input kinds, summary, options read besides --strict and
+# --out, in usage order)
 _COMMANDS = {
-    "check": (cmd_check, ("point", "curve")),
-    "tau": (cmd_tau, ("point",)),
-    "baker": (cmd_baker, ("point",)),
-    "bilinear": (cmd_bilinear, ("point",)),
-    "hierarchy": (cmd_hierarchy, ("point",)),
-    "orbit": (cmd_orbit, ("point", "curve")),
-    "pfaffian": (cmd_pfaffian, ("matrix",)),
-    "family-square": (cmd_family_square, ("family",)),
+    "check": (cmd_check, ("point", "curve"),
+              "structural invariants of a point or curve span", ("window",)),
+    "tau": (cmd_tau, ("point",), "tau polynomial of a point",
+            ("window", "weight")),
+    "baker": (cmd_baker, ("point",), "Baker series blocks of a point",
+              ("window", "weight")),
+    "bilinear": (cmd_bilinear, ("point",), "bilinear residuals of a point",
+                 ("window", "weight")),
+    "hierarchy": (cmd_hierarchy, ("point",), "constraint suite of a point",
+                  ("window", "maxsize")),
+    "orbit": (cmd_orbit, ("point", "curve"),
+              "flow-orbit profile of a point or curve span",
+              ("window", "nmax", "odd")),
+    "pfaffian": (cmd_pfaffian, ("matrix",),
+                 "Pfaffian of an alternating matrix", ()),
+    "family-square": (cmd_family_square, ("family",),
+                      "flow a family out of the vacuum and take the "
+                      "square-root normal form", ("weight",)),
 }
 
 
-# the numeric options' ranges bound every request's cost, which grows
+# option -> (default, range, metavar, help); a flag has no range.  Ranges are
+# checked in this order.  They bound every request's cost, which grows
 # steeply past them (one Xeon core): bilinear on the 3-row point takes 2 s
 # at weight 24 and 18 s at 32; each maxsize step costs about four times the
 # last, seconds and megabytes at 6; orbit on <3,4,5> takes 1.3 s at nmax 64
 # and 4 s at 96; at window radius 64 the slowest command is orbit --nmax 64
 # on the one-row point {-1: 1, 0: 2} over tail 1 (1.6 s), while tau on that
 # point takes 8 s at the window [-2000, 8] (io bounds file windows alike)
-_RANGES = {"weight": (0, 24), "maxsize": (0, 6), "nmax": (1, 64),
-           "window": (1, 64)}
+_OPTIONS = {
+    "weight": (8, (0, 24), "W",
+               "weight bound for series and polynomials, {} to {}"),
+    "maxsize": (4, (0, 6), "N",
+                "largest diagram weight in the suite, {} to {}"),
+    "nmax": (12, (1, 64), "N",
+             "flow truncation order for the profile, {} to {}"),
+    "window": (32, (1, 64), "R",
+               "exponent radius when the file sets no window"),
+    "odd": (False, None, None, "restrict to odd-index flows"),
+}
 
 
 def _check_ranges(args):
-    for key, (lo, hi) in _RANGES.items():
-        v = getattr(args, key, lo)
-        if not lo <= v <= hi:
+    for key, (_, bounds, _, _) in _OPTIONS.items():
+        v = getattr(args, key, None)
+        if bounds and v is not None and not bounds[0] <= v <= bounds[1]:
+            lo, hi = bounds
             raise ParseError(f"--{key} must be between {lo} and {hi}, got {v}")
 
 
@@ -390,52 +416,21 @@ def _parser():
     p.add_argument("--version", action="version",
                    version=f"zgrass {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add(name, summary, window=True, weight=False, maxsize=False,
-            orbit=False):
+    for name, (_, _, summary, options) in _COMMANDS.items():
         s = sub.add_parser(name, help=summary, description=summary)
         s.add_argument("file", help="JSON input file")
-        if window:
-            s.add_argument("--window", type=int, default=32, metavar="R",
-                           help="exponent radius when the file sets no window")
-        if weight:
-            s.add_argument("--weight", type=int, default=8, metavar="W",
-                           help="weight bound for series and polynomials, "
-                           "%d to %d" % _RANGES["weight"])
-        if maxsize:
-            s.add_argument("--maxsize", type=int, default=4, metavar="N",
-                           help="largest diagram weight in the suite, "
-                           "%d to %d" % _RANGES["maxsize"])
-        if orbit:
-            s.add_argument("--nmax", type=int, default=12, metavar="N",
-                           help="flow truncation order for the profile, "
-                           "%d to %d" % _RANGES["nmax"])
-            s.add_argument("--odd", action="store_true",
-                           help="restrict to odd-index flows")
+        for key in options:
+            default, bounds, metavar, text = _OPTIONS[key]
+            if bounds is None:
+                s.add_argument(f"--{key}", action="store_true", help=text)
+            else:
+                s.add_argument(f"--{key}", type=int, default=default,
+                               metavar=metavar, help=text.format(*bounds))
         s.add_argument("--strict", action="store_true",
                        help="treat skipped checks as failures")
         s.add_argument("--out", metavar="FILE",
                        help="write the report here instead of stdout")
-        return s
-
-    add("check", "structural invariants of a point or curve span")
-    add("tau", "tau polynomial of a point", weight=True)
-    add("baker", "Baker series blocks of a point", weight=True)
-    add("bilinear", "bilinear residuals of a point", weight=True)
-    add("hierarchy", "constraint suite of a point", maxsize=True)
-    add("orbit", "flow-orbit profile of a point or curve span", orbit=True)
-    add("pfaffian", "Pfaffian of an alternating matrix", window=False)
-    add("family-square", "flow a family out of the vacuum and take the "
-        "square-root normal form", window=False, weight=True)
     return p
-
-
-def _config(args):
-    cfg = {}
-    for key in ("window", "weight", "maxsize", "nmax", "odd", "strict"):
-        if hasattr(args, key):
-            cfg[key] = getattr(args, key)
-    return cfg
 
 
 def _emit(payload, args):
@@ -449,8 +444,9 @@ def _emit(payload, args):
 
 def main(argv=None):
     args = _parser().parse_args(argv)
-    handler, kinds = _COMMANDS[args.command]
-    base = {"command": args.command, "config": _config(args),
+    handler, kinds, _, options = _COMMANDS[args.command]
+    config = {key: getattr(args, key) for key in options + ("strict",)}
+    base = {"command": args.command, "config": config,
             "tool": "zgrass", "version": __version__}
     try:
         _check_ranges(args)

@@ -114,6 +114,18 @@ def _needed_weight(family, ds):
     return max(d.weight + _SHAPES[family][0] + tops - d.top for d in ds)
 
 
+def suite_weight(maxsize):
+    """Largest tau weight any entry of constraint_suite(tau, maxsize) reads.
+
+    _needed_weight grows with every slot's weight and top, so each family
+    peaks with the one-row diagram (maxsize) in every slot, at
+    arity * maxsize + level total; P0TRIPLE's 3 * maxsize + 2 is the largest.
+    """
+    row = Partition((maxsize,))
+    return max(_needed_weight(f, (row,) * len(_SHAPES[f][1]))
+               for f in FAMILIES)
+
+
 class _Table:
     """Extraction values of one tau, each paired at most once.
 

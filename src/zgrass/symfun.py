@@ -95,18 +95,20 @@ def partitions_upto(w):
     return [lam for n in range(w + 1) for lam in partitions(n)]
 
 
-def partitions_in_box(maxlen, maxwidth):
-    """All partitions with at most maxlen parts, each at most maxwidth."""
+def partitions_in_box(maxlen, maxwidth, maxweight=None):
+    """All partitions with at most maxlen parts, each at most maxwidth, of
+    weight at most maxweight (>= 0) when given, ascending.  The weight
+    bound prunes the enumeration, so the cost follows the output."""
     out = []
 
-    def rec(i, cap, acc):
+    def rec(i, cap, room, acc):
         out.append(Partition(acc))
         if i == maxlen:
             return
-        for p in range(cap, 0, -1):
-            rec(i + 1, p, acc + [p])
+        for p in range(min(cap, room), 0, -1):
+            rec(i + 1, p, room - p, acc + [p])
 
-    rec(0, maxwidth, [])
+    rec(0, maxwidth, maxlen * maxwidth if maxweight is None else maxweight, [])
     return sorted(out, key=Partition.key)
 
 

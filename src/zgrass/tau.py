@@ -1,11 +1,11 @@
 """Tau polynomials of frame points, square-root normal forms, Baker series.
 
 The tau polynomial of a point collects its minors against the Schur basis
-in the times t: tau_U = sum over partitions of plucker(lam) * schur_lam.
-For an exact frame the sum is finite -- the support sits in an explicit
-box -- and flowing the point by the universal unit exp(sum t_k z^-k) turns
-the vacuum minor into the same polynomial, which is the consistency this
-module lets callers check.
+in the times t: tau_U = sum of plucker(lam) * schur_lam over the partitions
+plucker_support picks -- an explicit box for an exact frame, pruned to the
+weight cap the caller reads.  Flowing the point by the universal unit
+exp(sum t_k z^-k) turns the vacuum minor into the same polynomial, which is
+the consistency this module lets callers check.
 
 The square-root normal form factors the odd-times restriction of tau as
 scale * root^2 through a chosen weight; it exists exactly when tau does not
@@ -30,7 +30,6 @@ from typing import NamedTuple
 from .errors import OddParity, ZgrassError
 from .series import LaurentSeries, pair_std
 from .symfun import (
-    Partition,
     TimePolynomial,
     partitions_in_box,
     partitions_upto,
@@ -41,46 +40,36 @@ from .symfun import (
 )
 
 
-def plucker_support(u):
-    """All (partition, coordinate) pairs with nonzero coordinate.
+def plucker_support(u, cap=None):
+    """The (partition, coordinate) pairs tau sums over, through the cap.
 
-    Exact frames only.  A nonzero minor must match every implicit tail row
-    with its own column and sample columns inside the row support, so the
-    support lives in the box: at most len(rows) parts, parts at most
-    maxtop + 1 - charge.
-    """
-    if not u.exact:
-        raise ZgrassError("the support box needs an exact frame")
-    if not u.rows:
-        return [(Partition(()), Fraction(1))]
-    width = max(r.top for r in u.rows) + 1 - u.charge
-    out = []
-    for lam in partitions_in_box(len(u.rows), width):
-        v = u.plucker(lam)
-        if v:
-            out.append((lam, v))
-    return out
-
-
-def tau_function(u, cap=None):
-    """The tau polynomial of the point in the times t.
-
-    One sum of plucker(lam) * schur_lam: over the support box for exact
-    frames, the exact finite polynomial (optionally capped afterwards);
-    over all partitions up to the cap for approximate frames, which
-    require one.
+    For an exact frame these are the nonzero coordinates.  A nonzero minor
+    must match every implicit tail row with its own column and sample
+    columns inside the row support, so the support lives in the box of at
+    most len(rows) parts, each at most maxtop + 1 - charge; the box is
+    enumerated only to weight cap.  An approximate frame has no box: it
+    takes every partition up to the cap, which it therefore requires.
     """
     if u.exact:
-        coords = plucker_support(u)
+        width = max((r.top for r in u.rows), default=0) + 1 - u.charge
+        lams = partitions_in_box(len(u.rows), width, cap)
     elif cap is None:
         raise ZgrassError("tau of an approximate frame needs a weight cap")
     else:
-        coords = ((lam, u.plucker(lam)) for lam in partitions_upto(cap))
-    acc = TimePolynomial()
-    for lam, v in coords:
-        if v:
-            acc = acc + schur(lam.parts) * v
-    return acc if cap is None else acc.with_cap(cap)
+        lams = partitions_upto(cap)
+    return [(lam, v) for lam in lams if (v := u.plucker(lam))]
+
+
+def tau_function(u, cap=None):
+    """The tau polynomial sum of plucker(lam) * schur_lam, through the cap.
+
+    The sum runs over plucker_support(u, cap): exact when cap is None (exact
+    frames only), and known through weight cap otherwise.
+    """
+    acc = TimePolynomial({}, cap)
+    for lam, v in plucker_support(u, cap):
+        acc = acc + schur(lam.parts) * v
+    return acc
 
 
 def times_flow(cap, floor):
@@ -96,17 +85,18 @@ def times_flow(cap, floor):
     )
 
 
-def tau_flow_consistency(u, tau, cap):
-    """(vacuum minor after the universal flow, tau capped) -- should agree.
+def tau_flow_consistency(u, cap):
+    """The vacuum minor after the universal flow, known through the cap.
 
-    tau is the point's tau polynomial, as tau_function gives it.  A
-    rational minor is lifted into the capped ring, so both sides compare as
+    It equals tau_function(u).with_cap(cap): flowing the point by
+    exp(sum t_k z^-k) turns its vacuum minor into its tau.  A rational
+    minor is lifted into the capped ring, so both sides compare as
     polynomials known through the same weight.
     """
     minor = u.flow(times_flow(cap, u.window[0])).plucker(())
     if not isinstance(minor, TimePolynomial):
         minor = tconst(minor).with_cap(cap)
-    return minor, tau.with_cap(cap)
+    return minor
 
 
 def odd_part(tau):

@@ -5,10 +5,15 @@ assemble_even_odd inverts FramePoint.split_even_odd, coset_reps picks
 representatives of A/(A cap B), mti_duality_check pairs two transverse points
 through them, and gram_pfaffian is the Pfaffian of the Gram matrix
 gram_matrix.  flipped is the image of a point under the sign flip, and
-evaluate reads a time polynomial at rational times.
+evaluate reads a time polynomial at rational times.  hirota forms the
+Hirota bilinear derivative D^alpha tau.tau and kp_defect the left side of the
+KP equation in Hirota form, an oracle for tau polynomials that uses only
+TimePolynomial.differentiate.
 """
 
 from fractions import Fraction
+from itertools import product
+from math import comb, prod
 from typing import NamedTuple
 
 from zgrass.errors import ZgrassError
@@ -16,7 +21,7 @@ from zgrass.grassmann import DEFAULT_WINDOW, FramePoint, _chart_columns
 from zgrass.linalg import det_field, echelon
 from zgrass.pfaffian import pfaffian
 from zgrass.series import LaurentSeries, pair_sigma
-from zgrass.symfun import Partition
+from zgrass.symfun import Partition, TimePolynomial
 
 
 def flipped(u):
@@ -39,6 +44,36 @@ def evaluate(poly, assign):
             v *= Fraction(assign.get(var, 0)) ** mult
         total += v
     return total
+
+
+def _derive(tau, orders):
+    for k, n in orders:
+        for _ in range(n):
+            tau = tau.differentiate("t", k)
+    return tau
+
+
+def hirota(tau, alpha):
+    """D^alpha tau.tau for alpha = {k: order} in the times t: the sum over
+    beta <= alpha of prod_k C(alpha_k, beta_k) (-1)^|alpha - beta| times
+    d^beta tau * d^(alpha - beta) tau.  A tau known through weight c gives
+    a result known through c - sum_k k * alpha_k."""
+    ks = sorted(alpha)
+    acc = TimePolynomial()
+    for beta in product(*(range(alpha[k] + 1) for k in ks)):
+        rest = [alpha[k] - b for k, b in zip(ks, beta)]
+        sign = -1 if sum(rest) % 2 else 1
+        c = sign * prod(comb(alpha[k], b) for k, b in zip(ks, beta))
+        acc = acc + _derive(tau, zip(ks, beta)) * _derive(tau, zip(ks, rest)) * c
+    return acc
+
+
+def kp_defect(tau):
+    """(D1^4 + 3 D2^2 - 4 D1 D3) tau.tau, zero exactly when tau satisfies
+    the first equation of the KP hierarchy (Date, Jimbo, Kashiwara, Miwa
+    1982); known through the cap of tau less 4."""
+    return (hirota(tau, {1: 4}) + hirota(tau, {2: 2}) * 3
+            - hirota(tau, {1: 1, 3: 1}) * 4)
 
 
 def assemble_even_odd(we, wo, window=DEFAULT_WINDOW):

@@ -9,13 +9,13 @@ from pathlib import Path
 import pytest
 
 import zgrass
-from zgrass import __version__, cli, krichever, tau
+from zgrass import __version__, cli, krichever, symfun, tau
 from zgrass.cli import main
 from zgrass.errors import ParseError
 from zgrass.grassmann import FramePoint
 from zgrass.io import frac_str, mono_str, parse_frac, series_from_json
 from zgrass.series import LaurentSeries
-from zgrass.symfun import TimePolynomial, tvar
+from zgrass.symfun import Partition, TimePolynomial, partitions_upto, tvar
 
 CUSP = {"kind": "point", "gens": [{"0": "1"}], "tail": 1, "window": [-8, 8]}
 PENCIL = {"kind": "point", "gens": [{"-1": "1", "0": "1"}], "tail": 1,
@@ -518,15 +518,16 @@ class TestGoldenReports:
 
 
 def test_tau_work_on_three_row_point(tmp_path, capsys, monkeypatch):
-    """One tau per request: the flow-consistency check reads the tau the
-    report prints, so the support box is swept once and no frame reads a
-    minor column set twice."""
+    """One tau per request, to the weight the report prints: the
+    flow-consistency check reads the tau the report prints, so the support
+    box is swept once, through --weight, and no frame reads a minor column
+    set twice."""
     sweeps, reads = [], []
     support, minor = tau.plucker_support, FramePoint.minor
 
-    def counting_support(u):
-        sweeps.append(u)
-        return support(u)
+    def counting_support(u, cap=None):
+        sweeps.append(cap)
+        return support(u, cap)
 
     def recording_minor(self, cols):
         reads.append((self, tuple(cols)))
@@ -536,8 +537,48 @@ def test_tau_work_on_three_row_point(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(FramePoint, "minor", recording_minor)
     code, rep = run(tmp_path, THREE_ROW, "tau", capsys=capsys)
     assert code == 0 and rep["report"]["tau"]["terms"]
-    assert len(sweeps) == 1
+    assert sweeps == [8]
     assert reads and len(set(reads)) == len(reads)
+
+
+# {-1: 1, 0: 2} over tail 40: support (39) and (40), past every cap
+TAIL_40 = {"kind": "point", "gens": [{"-1": "1", "0": "2"}], "tail": 40,
+           "window": [-8, 8]}
+# a generator reaching exponent 5000: a support box 5001 wide
+EXPONENT_5000 = {"kind": "point", "gens": [{"0": "1", "5000": "1"}],
+                 "tail": 1, "window": [-8, 8]}
+
+
+@pytest.mark.parametrize("obj, argv, cap", [
+    (TAIL_40, ["tau", "--weight", "4"], 4),
+    (TAIL_40, ["hierarchy", "--maxsize", "2"], 8),
+    (EXPONENT_5000, ["tau", "--weight", "2"], 2),
+], ids=["tail40-tau", "tail40-hierarchy", "exponent5000-tau"])
+def test_work_bounded_by_the_weight_read(tmp_path, capsys, monkeypatch,
+                                         obj, argv, cap):
+    """Tau is built only to the weight its caller reads (--weight, or
+    3 * maxsize + 2 for the suite): however wide the support box, no Schur
+    polynomial and no minor is formed for a partition past that cap."""
+    schurs, minors = [], []
+    schur, plucker = symfun.schur, FramePoint.plucker
+
+    def counting_schur(lam):
+        schurs.append(Partition(lam).weight)
+        return schur(lam)
+
+    def counting_plucker(self, lam):
+        minors.append(Partition(lam).weight)
+        return plucker(self, lam)
+
+    monkeypatch.setattr(symfun, "schur", counting_schur)
+    monkeypatch.setattr(tau, "schur", counting_schur)
+    monkeypatch.setattr(FramePoint, "plucker", counting_plucker)
+    code, rep = run(tmp_path, obj, *argv, capsys=capsys)
+    assert code == 0 and rep["ok"]
+    assert max(schurs, default=0) <= cap
+    assert minors and max(minors) <= cap
+    # the pruned support box, plus the flowed vacuum minor of tau's check
+    assert len(minors) <= len(partitions_upto(cap)) + 1
 
 
 def test_bilinear_work_on_three_row_point(tmp_path, capsys, monkeypatch):

@@ -19,6 +19,7 @@ from zgrass.hierarchy import (
     gr0_constraint,
     p0_triple_constraint,
     suite_verdict,
+    suite_weight,
 )
 from zgrass.symfun import Partition, hall, schur, tconst, tvar
 from zgrass.tau import tau_function
@@ -279,6 +280,25 @@ class TestSuite:
                     assert c.status == "unsound" and c.value is None
                 else:
                     assert c == e
+
+    @pytest.mark.parametrize("maxsize", range(5))
+    def test_suite_weight_is_largest_needed(self, maxsize):
+        # needed reads the diagrams only, and a tau capped below weight 0
+        # keeps the suite from pairing anything
+        entries = constraint_suite(tconst(1).with_cap(-1), maxsize)
+        assert all(e.status == "unsound" for e in entries)
+        assert suite_weight(maxsize) == max(e.needed for e in entries)
+        assert suite_weight(maxsize) == 3 * maxsize + 2
+
+    def test_suite_weight_is_tight(self):
+        """Tau capped at suite_weight leaves the suite unchanged; one weight
+        less marks entries unsound."""
+        t = three_row_tau()
+        for m in (1, 2):
+            exact = constraint_suite(t, m)
+            assert constraint_suite(t.with_cap(suite_weight(m)), m) == exact
+            below = constraint_suite(t.with_cap(suite_weight(m) - 1), m)
+            assert any(e.status == "unsound" for e in below)
 
     def test_each_extraction_paired_once(self, monkeypatch):
         ops, pairs = [], []

@@ -2,11 +2,13 @@ from fractions import Fraction
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+import sympy
+from sympy.polys.matrices import DomainMatrix
 
 from zgrass.grassmann import FramePoint
 from zgrass.linalg import det_field, det_ring, det_unit, nullspace, rref
 from zgrass.series import LaurentSeries
-from zgrass.symfun import tconst, tvar
+from zgrass.symfun import TimePolynomial, tconst, tvar
 
 
 class TestDeterminants:
@@ -63,6 +65,60 @@ class TestDeterminants:
     def test_ring_equals_field_on_integers(self, rows):
         m = [[Fraction(x) for x in r] for r in rows]
         assert det_ring(m) == det_field(m)
+
+
+# sympy's Bareiss determinant over Q[t1, t2, a1], an outside oracle the
+# library itself never imports
+_RING = sympy.QQ[sympy.symbols("t1 t2 a1")]
+
+
+def _elem(x):
+    """A ring element (Fraction or TimePolynomial) of Q[t1, t2, a1]."""
+    if not isinstance(x, TimePolynomial):
+        return _RING.from_sympy(sympy.Rational(x.numerator, x.denominator))
+    return _RING.from_sympy(sympy.Add(*(
+        sympy.Rational(c.numerator, c.denominator) * sympy.Mul(
+            *(sympy.Symbol(f"{fam}{k}") ** m for (fam, k), m in mono))
+        for mono, c in x.terms.items())))
+
+
+def _bareiss(rows):
+    n = len(rows)
+    return DomainMatrix([[_elem(x) for x in r] for r in rows], (n, n),
+                        _RING).det()
+
+
+# sparse polynomial entries in t1, t2 and a parameter a1, rational
+# coefficients
+_MONOS = st.lists(
+    st.tuples(st.sampled_from([("t", 1), ("t", 2), ("a", 1)]),
+              st.integers(1, 2)),
+    max_size=2, unique_by=lambda v: v[0]).map(tuple)
+_ENTRIES = st.dictionaries(
+    _MONOS, st.fractions(-3, 3, max_denominator=3).filter(bool),
+    max_size=3).map(TimePolynomial)
+
+
+class TestRingOracle:
+    """det_ring on polynomial entries against sympy's fraction-free
+    (Bareiss) elimination over the polynomial ring."""
+
+    @settings(max_examples=30)
+    @given(st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.lists(_ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n)))
+    def test_det_ring_matches_bareiss(self, rows):
+        assert _elem(det_ring(rows)) == _bareiss(rows)
+
+    def test_five_by_five_with_zero_pivots(self):
+        t, a = tvar(1), tvar(1, "a")
+        zero = TimePolynomial()
+        rows = [[zero, t, a, zero, t * a],
+                [t, zero, zero, a * a, tconst(1)],
+                [a, t * t, zero, tconst(2), zero],
+                [zero, tconst(1), t + a, zero, t],
+                [t * a, zero, tconst(3), a, zero]]
+        want = _bareiss(rows)
+        assert want and _elem(det_ring(rows)) == want
 
 
 class TestKernel:

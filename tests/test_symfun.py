@@ -65,6 +65,16 @@ class TestPartition:
     def test_box(self):
         got = [p.parts for p in partitions_in_box(2, 2)]
         assert got == [(), (1,), (1, 1), (2,), (2, 1), (2, 2)]
+        assert [p.parts for p in partitions_in_box(2, 2, 2)] == got[:4]
+
+    @given(st.integers(0, 5), st.integers(0, 6), st.integers(0, 14))
+    def test_weight_bounded_box(self, maxlen, maxwidth, maxweight):
+        """The weight bound prunes the enumeration and yields exactly the
+        unbounded box filtered by weight, in the same order."""
+        full = partitions_in_box(maxlen, maxwidth)
+        assert partitions_in_box(maxlen, maxwidth, maxweight) == [
+            lam for lam in full if lam.weight <= maxweight]
+        assert partitions_in_box(maxlen, maxwidth, None) == full
 
 
 class TestStrips:

@@ -82,6 +82,20 @@ class TestSupport:
         with pytest.raises(ZgrassError):
             plucker_support(moved)
 
+    def test_cap_prunes_the_box(self):
+        u = FramePoint.from_gens(
+            [series({-2: 1, 0: 3}), series({-1: 1, 1: 2})], 2, window=W
+        )
+        full = plucker_support(u)
+        assert [lam.weight for lam, _ in full] == [0, 2, 2, 4]
+        for cap in range(6):
+            assert plucker_support(u, cap) == [
+                (lam, v) for lam, v in full if lam.weight <= cap]
+
+    def test_approximate_frame_reads_every_partition_to_the_cap(self):
+        moved = FramePoint.vacuum(window=W).flow(series({-1: 1, 0: 1}))
+        assert plucker_support(moved, 3) == [(Partition(()), Fraction(1))]
+
 
 class TestTau:
     def test_vacuum(self):
@@ -142,18 +156,15 @@ class TestTau:
 class TestFlowConsistency:
     def test_pencil(self):
         u = point_a(Fraction(7))
-        got, want = tau_flow_consistency(u, tau_function(u), 3)
-        assert got == want
+        assert tau_flow_consistency(u, 3) == tau_function(u).with_cap(3)
 
     def test_cusp(self):
         u = cusp()
-        got, want = tau_flow_consistency(u, tau_function(u), 3)
-        assert got == want
+        assert tau_flow_consistency(u, 3) == tau_function(u).with_cap(3)
 
     def test_negative_charge(self):
         u = FramePoint.from_gens([series({-2: 1, 0: 5})], 2, window=W)
-        got, want = tau_flow_consistency(u, tau_function(u), 4)
-        assert got == want
+        assert tau_flow_consistency(u, 4) == tau_function(u).with_cap(4)
 
     def test_scalar_minor_on_ring_point(self):
         # the <3,4> semigroup point has charge -2: tau starts at weight 5,
@@ -161,18 +172,18 @@ class TestFlowConsistency:
         u = FramePoint.from_gens(
             [series({0: 1}), series({-3: 1}), series({-4: 1})], 5, window=W
         )
-        got, want = tau_flow_consistency(u, tau_function(u), 4)
+        got = tau_flow_consistency(u, 4)
         assert isinstance(got, TimePolynomial) and got.maxweight == 4
-        assert got == want
-        assert got != want + tvar(4).with_cap(4)
+        assert got == tau_function(u).with_cap(4)
+        assert got != tvar(4).with_cap(4)
         assert got != tconst(1).with_cap(4)
 
     def test_two_rows(self):
         u = FramePoint.from_gens(
             [series({-2: 1, 0: 3}), series({-1: 1, 1: 2})], 2, window=W
         )
-        got, want = tau_flow_consistency(u, tau_function(u), 4)
-        assert got == want
+        want = tau_function(u).with_cap(4)
+        assert tau_flow_consistency(u, 4) == want
         assert want.component(2) == (schur((2,)) * 2 - schur((1, 1)) * 3)
 
     @settings(max_examples=20)
@@ -188,19 +199,22 @@ class TestFlowConsistency:
             min_size=1, max_size=2))}) for p in pivots]
         u = FramePoint.from_gens(gens, tail, window=(-16, 12))
         assume(len(u.rows) == nrows)
-        got, want = tau_flow_consistency(u, tau_function(u),
-                                         data.draw(st.integers(6, 8)))
-        assert got == want
+        c = data.draw(st.integers(6, 8))
+        assert tau_flow_consistency(u, c) == tau_function(u).with_cap(c)
 
-    def test_reads_the_given_tau(self):
-        """The check compares the flowed minor with the tau it is handed,
-        capped, and computes no tau of its own."""
+    def test_computes_no_tau(self, monkeypatch):
+        """The check returns the flowed minor alone: the caller compares it
+        with the tau it already holds, and no support box is swept here."""
         u = point_a(Fraction(7))
-        wrong = tau_function(u) + tvar(2)
-        got, want = tau_flow_consistency(u, wrong, 3)
-        assert want == wrong.with_cap(3)
-        assert got != want
+
+        def refuse(*args):
+            raise AssertionError("tau_flow_consistency swept the support")
+
+        monkeypatch.setattr(tau_module, "plucker_support", refuse)
+        got = tau_flow_consistency(u, 3)
+        monkeypatch.undo()
         assert got == tau_function(u, cap=3)
+        assert got != (tau_function(u) + tvar(2)).with_cap(3)
 
     def test_times_flow_unit(self):
         g = times_flow(3, -8)

@@ -1,24 +1,17 @@
-"""Command line front end.
+"""Command line front end: `zgrass COMMAND FILE [options]`.
 
-    zgrass check FILE          invariants of a point, or closure of a curve
-    zgrass tau FILE            tau polynomial through a weight
-    zgrass baker FILE          Baker series blocks plus the duality residues
-    zgrass bilinear FILE       both bilinear residuals and their matrices
-    zgrass hierarchy FILE      constraint suite with per-family verdicts
-    zgrass orbit FILE          flow-orbit dimension profile, stabilizer basis
-    zgrass pfaffian FILE       Pfaffian of an alternating matrix, squared
-    zgrass family-square FILE  odd flows: unit minor and square-root roundtrip
-
-Input files are JSON objects tagged by "kind" (see the io module).  Reports
-are deterministic JSON on stdout or --out FILE; exit status 0 exactly when
-every asserted check passes.  --strict also fails checks that were skipped
-for honest reasons (truncation too tight, a profile that has not settled).
+`zgrass -h` lists the commands (`_COMMANDS`), and `zgrass COMMAND -h` the
+options each reads (`_OPTIONS`).  Input files are JSON objects tagged by
+"kind" (see the io module).  Reports are deterministic JSON on stdout or
+--out FILE; exit status 0 exactly when every asserted check passes.
+--strict also fails checks that were skipped for honest reasons
+(truncation too tight, a profile that has not settled).
 """
 
-import argparse
 import json
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import __version__
 from .errors import OddParity, ParseError, ZgrassError
@@ -202,12 +195,14 @@ def cmd_bilinear(obj, args):
     low = min((i + j + 2 for i, row in enumerate(second)
                for j, v in enumerate(row) if v), default=None)
     sign = "sign-residues-match-invariance"
+    where = (f"lies above the {n} x {n} block and" if low is None
+             else f"sits at weight {low},")
     checks = [
         _check("duality-residues", not r1 and not any(flat1),
                "first residual vanishes in both forms"),
-        _skip(sign, f"the sign obstruction sits at weight {low}, above "
-              f"--weight {args.weight}")
-        if not (inv or r2) and low is not None and low > args.weight else
+        _skip(sign, f"the sign obstruction {where} above --weight "
+              f"{args.weight}")
+        if not (inv or r2) and (low is None or low > args.weight) else
         _check(sign, (not r2) == inv and (not any(flat2)) == inv,
                "second residual vanishes exactly for sign-invariant points"),
     ]
@@ -379,7 +374,7 @@ _COMMANDS = {
 }
 
 
-# option -> (default, range, metavar, help); a flag has no range.  Ranges are
+# option -> (default, range, metavar, help); a flag has no metavar.  Ranges are
 # checked in this order.  They bound every request's cost, which grows
 # steeply past them (one Xeon core): bilinear on the 3-row point takes 2 s
 # at weight 24 and 18 s at 32; each maxsize step costs about four times the
@@ -388,15 +383,16 @@ _COMMANDS = {
 # on the one-row point {-1: 1, 0: 2} over tail 1 (1.6 s), while tau on that
 # point takes 8 s at the window [-2000, 8] (io bounds file windows alike)
 _OPTIONS = {
-    "weight": (8, (0, 24), "W",
-               "weight bound for series and polynomials, {} to {}"),
-    "maxsize": (4, (0, 6), "N",
-                "largest diagram weight in the suite, {} to {}"),
-    "nmax": (12, (1, 64), "N",
-             "flow truncation order for the profile, {} to {}"),
+    "weight": (8, (0, 24), "W", "weight bound for series and polynomials"),
+    "maxsize": (4, (0, 6), "N", "largest diagram weight in the suite"),
+    "nmax": (12, (1, 64), "N", "flow truncation order for the profile"),
     "window": (32, (1, 64), "R",
                "exponent radius when the file sets no window"),
     "odd": (False, None, None, "restrict to odd-index flows"),
+    "strict": (False, None, None, "treat skipped checks as failures"),
+    "out": (None, None, "FILE", "write the report here instead of stdout"),
+    "help": (None, None, None, "show this help and exit"),
+    "version": (None, None, None, "show the version and exit"),
 }
 
 
@@ -408,29 +404,93 @@ def _check_ranges(args):
             raise ParseError(f"--{key} must be between {lo} and {hi}, got {v}")
 
 
-def _parser():
-    p = argparse.ArgumentParser(
-        prog="zgrass",
-        description="exact computations on finite-window Laurent frames",
-    )
-    p.add_argument("--version", action="version",
-                   version=f"zgrass {__version__}")
-    sub = p.add_subparsers(dest="command", required=True)
-    for name, (_, _, summary, options) in _COMMANDS.items():
-        s = sub.add_parser(name, help=summary, description=summary)
-        s.add_argument("file", help="JSON input file")
-        for key in options:
-            default, bounds, metavar, text = _OPTIONS[key]
-            if bounds is None:
-                s.add_argument(f"--{key}", action="store_true", help=text)
+def _names(cmd):
+    """The options of a command, or of the top level when cmd is None."""
+    return ("help", *_COMMANDS[cmd][3], "strict", "out") if cmd else (
+        "help", "version")
+
+
+def _fail(cmd, error):
+    """The usage and the error on stderr, exit 2, as argparse reports them."""
+    sys.stderr.write(f"usage: zgrass {cmd or 'COMMAND'} FILE [options]\n"
+                     f"zgrass{' ' + cmd if cmd else ''}: error: {error}\n")
+    raise SystemExit(2)
+
+
+def _help(cmd):
+    """The help of a command, or of the top level when cmd is None."""
+    rows = [("file", "JSON input file")] if cmd else [
+        (name, spec[2]) for name, spec in _COMMANDS.items()]
+    for key in _names(cmd):
+        default, bounds, metavar, text = _OPTIONS[key]
+        if bounds:
+            text += f", {bounds[0]} to {bounds[1]} (default {default})"
+        left = f"--{key} {metavar}" if metavar else f"--{key}"
+        rows.append(("-h, --help" if key == "help" else left, text))
+    width = max(len(left) for left, _ in rows) + 2
+    return "\n".join([
+        f"usage: zgrass {cmd or 'COMMAND'} FILE [options]", "",
+        _COMMANDS[cmd][2] if cmd else
+        "exact computations on finite-window Laurent frames", "",
+        *(f"  {left:{width}}{text}" for left, text in rows)]) + "\n"
+
+
+def _is_option(arg):
+    # as argparse: "-" alone and negative numbers ("-1", "-.5") are values
+    return arg[:1] == "-" != arg and not arg[1:].replace(".", "", 1).isdigit()
+
+
+def _read_argv(argv):
+    """The command, file and options of `zgrass COMMAND FILE [options]`,
+    read off the tables above as argparse would: `--key V` or `--key=V`, a
+    unique prefix of an option, `--` before values, the last of a repeat."""
+    cmd = file = None
+    values, extras, ended, rest = {}, [], False, iter(argv)
+    for arg in rest:
+        if ended or not _is_option(arg):
+            if cmd is None:
+                if arg not in _COMMANDS:
+                    _fail(None, f"argument command: invalid choice: {arg!r} "
+                          f"(choose from {', '.join(map(repr, _COMMANDS))})")
+                cmd, values = arg, {k: _OPTIONS[k][0] for k in _names(arg)[1:]}
+            elif file is None:
+                file = arg
             else:
-                s.add_argument(f"--{key}", type=int, default=default,
-                               metavar=metavar, help=text.format(*bounds))
-        s.add_argument("--strict", action="store_true",
-                       help="treat skipped checks as failures")
-        s.add_argument("--out", metavar="FILE",
-                       help="write the report here instead of stdout")
-    return p
+                extras.append(arg)
+            continue
+        if arg == "--":
+            ended = True
+            continue
+        name, eq, value = arg.partition("=")
+        name = "--help" if name == "-h" else name
+        hits = [k for k in _names(cmd)
+                if name[:2] == "--" and k.startswith(name[2:])]
+        if len(hits) > 1:
+            _fail(cmd, f"ambiguous option: {arg} could match "
+                  f"{', '.join('--' + k for k in hits)}")
+        if not hits:
+            extras.append(arg)
+            continue
+        key = hits[0]
+        _, bounds, metavar, _ = _OPTIONS[key]
+        if eq and not metavar:
+            _fail(cmd, f"argument --{key}: ignored explicit argument {value!r}")
+        if key in ("help", "version"):
+            sys.stdout.write(_help(cmd) if key == "help"
+                             else f"zgrass {__version__}\n")
+            raise SystemExit(0)
+        if metavar and not eq and _is_option(value := next(rest, "--")):
+            _fail(cmd, f"argument --{key}: expected one argument")
+        try:
+            values[key] = (int(value) if bounds else value) if metavar else True
+        except ValueError:
+            _fail(cmd, f"argument --{key}: invalid int value: {value!r}")
+    if cmd is None or file is None:
+        _fail(cmd, "the following arguments are required: "
+              + ("file" if cmd else "command"))
+    if extras:
+        _fail(None, f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(command=cmd, file=file, **values)
 
 
 def _emit(payload, args):
@@ -443,7 +503,7 @@ def _emit(payload, args):
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    args = _read_argv(sys.argv[1:] if argv is None else argv)
     handler, kinds, _, options = _COMMANDS[args.command]
     config = {key: getattr(args, key) for key in options + ("strict",)}
     base = {"command": args.command, "config": config,

@@ -9,11 +9,22 @@ from pathlib import Path
 import pytest
 
 import zgrass
-from zgrass import __version__, cli, krichever, symfun, tau
+from zgrass import __version__, cli, hierarchy, krichever, symfun, tau
 from zgrass.cli import main
 from zgrass.errors import ParseError
 from zgrass.grassmann import FramePoint
-from zgrass.io import frac_str, mono_str, parse_frac, series_from_json
+from zgrass.io import (
+    curve_from_json,
+    family_from_json,
+    frac_str,
+    matrix_from_json,
+    mono_str,
+    parse_frac,
+    point_from_json,
+    series_from_json,
+)
+from zgrass.linalg import det_field
+from zgrass.pfaffian import pfaffian, section_square_check
 from zgrass.series import LaurentSeries
 from zgrass.symfun import Partition, TimePolynomial, partitions_upto, tvar
 
@@ -641,3 +652,330 @@ def test_console_entry():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout.strip() == "zgrass 0.1.0"
+
+
+# -- argv reading ----------------------------------------------------------------
+
+COMMANDS = ("'check', 'tau', 'baker', 'bilinear', 'hierarchy', 'orbit', "
+            "'pfaffian', 'family-square'")
+
+
+def run_argv(tmp_path, capsys, argv, obj=CUSP):
+    """(exit code, stdout, stderr) of main on argv, "F" naming a file that
+    holds obj; a SystemExit counts as its code."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    try:
+        code = main([str(path) if a == "F" else a for a in argv])
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestArgv:
+    """Every argv form the argparse front end accepted or refused, with the
+    exit codes and final stderr lines it gave."""
+
+    @pytest.mark.parametrize("argv, line", [
+        ([], "zgrass: error: the following arguments are required: command"),
+        (["--bogus"],
+         "zgrass: error: the following arguments are required: command"),
+        (["bogus", "F"], "zgrass: error: argument command: invalid choice: "
+         f"'bogus' (choose from {COMMANDS})"),
+        (["che", "F"], "zgrass: error: argument command: invalid choice: "
+         f"'che' (choose from {COMMANDS})"),
+        (["check"],
+         "zgrass check: error: the following arguments are required: file"),
+        (["tau", "--version"],
+         "zgrass tau: error: the following arguments are required: file"),
+        (["tau", "F", "--weight", "x"],
+         "zgrass tau: error: argument --weight: invalid int value: 'x'"),
+        (["tau", "F", "--weight="],
+         "zgrass tau: error: argument --weight: invalid int value: ''"),
+        (["tau", "F", "--weight"],
+         "zgrass tau: error: argument --weight: expected one argument"),
+        (["tau", "F", "--weight", "-x"],
+         "zgrass tau: error: argument --weight: expected one argument"),
+        (["tau", "F", "--window", "--weight"],
+         "zgrass tau: error: argument --window: expected one argument"),
+        (["check", "F", "--out"],
+         "zgrass check: error: argument --out: expected one argument"),
+        (["tau", "F", "--w", "3"], "zgrass tau: error: ambiguous option: "
+         "--w could match --window, --weight"),
+        (["tau", "F", "--w=3"], "zgrass tau: error: ambiguous option: "
+         "--w=3 could match --window, --weight"),
+        (["check", "F", "extra"],
+         "zgrass: error: unrecognized arguments: extra"),
+        (["check", "F", "extra", "--bogus"],
+         "zgrass: error: unrecognized arguments: extra --bogus"),
+        (["check", "F", "--weight", "3"],
+         "zgrass: error: unrecognized arguments: --weight 3"),
+        (["check", "F", "-x"], "zgrass: error: unrecognized arguments: -x"),
+        (["tau", "F", "--", "--weight"],
+         "zgrass: error: unrecognized arguments: --weight"),
+        (["orbit", "F", "--odd=1"],
+         "zgrass orbit: error: argument --odd: ignored explicit argument '1'"),
+        (["check", "F", "--strict=yes"], "zgrass check: error: argument "
+         "--strict: ignored explicit argument 'yes'"),
+        # options act in order: the bad value comes before the help
+        (["tau", "F", "--weight", "x", "-h"],
+         "zgrass tau: error: argument --weight: invalid int value: 'x'"),
+    ])
+    def test_usage_errors(self, tmp_path, capsys, argv, line):
+        code, out, err = run_argv(tmp_path, capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: zgrass")
+        assert err.splitlines()[-1] == line
+
+    @pytest.mark.parametrize("argv, same_as", [
+        (["tau", "F", "--wei", "3"], ["tau", "F", "--weight", "3"]),
+        (["tau", "F", "--weight=3"], ["tau", "F", "--weight", "3"]),
+        (["tau", "--weight", "3", "F"], ["tau", "F", "--weight", "3"]),
+        (["check", "--window=5", "F"], ["check", "F", "--window", "5"]),
+        (["tau", "--", "F"], ["tau", "F"]),
+        (["check", "F", "--"], ["check", "F"]),
+        (["tau", "F", "--weight", "2", "--weight", "3"],
+         ["tau", "F", "--weight", "3"]),
+        (["tau", "F", "--weight", "+3"], ["tau", "F", "--weight", "3"]),
+        (["check", "F", "--s"], ["check", "F", "--strict"]),
+        (["tau", "F", "--wi", "3", "--weight=2"],
+         ["tau", "F", "--window", "3", "--weight", "2"]),
+        # a negative value reaches the range check and its JSON error
+        (["tau", "F", "--weight=-1"], ["tau", "F", "--weight", "-1"]),
+        (["tau", "F", "--weight", "-5"], ["tau", "F", "--weight=-5"]),
+    ])
+    def test_accepted_forms(self, tmp_path, capsys, argv, same_as):
+        code, out, err = run_argv(tmp_path, capsys, argv)
+        assert err == "" and json.loads(out)
+        assert (code, out, err) == run_argv(tmp_path, capsys, same_as)
+
+    @pytest.mark.parametrize("argv", [["--version"], ["--vers"],
+                                      ["--version", "tau", "F"]])
+    def test_version(self, tmp_path, capsys, argv):
+        assert run_argv(tmp_path, capsys, argv) == (
+            0, f"zgrass {__version__}\n", "")
+
+    TOP_HELP = """\
+usage: zgrass COMMAND FILE [options]
+
+exact computations on finite-window Laurent frames
+
+  check          structural invariants of a point or curve span
+  tau            tau polynomial of a point
+  baker          Baker series blocks of a point
+  bilinear       bilinear residuals of a point
+  hierarchy      constraint suite of a point
+  orbit          flow-orbit profile of a point or curve span
+  pfaffian       Pfaffian of an alternating matrix
+  family-square  flow a family out of the vacuum and take the square-root \
+normal form
+  -h, --help     show this help and exit
+  --version      show the version and exit
+"""
+
+    TAU_HELP = """\
+usage: zgrass tau FILE [options]
+
+tau polynomial of a point
+
+  file        JSON input file
+  -h, --help  show this help and exit
+  --window R  exponent radius when the file sets no window, 1 to 64 \
+(default 32)
+  --weight W  weight bound for series and polynomials, 0 to 24 (default 8)
+  --strict    treat skipped checks as failures
+  --out FILE  write the report here instead of stdout
+"""
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--h"],
+                                      ["-h", "tau"]])
+    def test_top_help(self, tmp_path, capsys, argv):
+        assert run_argv(tmp_path, capsys, argv) == (0, self.TOP_HELP, "")
+
+    @pytest.mark.parametrize("argv", [
+        ["tau", "F", "-h"], ["tau", "--help"], ["tau", "-h", "F"],
+        ["tau", "F", "--weight", "3", "--he"],
+        ["tau", "-h", "F", "--weight", "x"]])
+    def test_command_help(self, tmp_path, capsys, argv):
+        assert run_argv(tmp_path, capsys, argv) == (0, self.TAU_HELP, "")
+
+    @pytest.mark.parametrize("cmd", list(cli._COMMANDS))
+    def test_every_command_help(self, tmp_path, capsys, cmd):
+        """file, each option with its metavar, range and default, then
+        --strict and --out FILE."""
+        code, out, err = run_argv(tmp_path, capsys, [cmd, "-h"])
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert lines[0] == f"usage: zgrass {cmd} FILE [options]"
+        assert lines[2] == cli._COMMANDS[cmd][2]
+        rows = [line.split()[0] for line in lines[4:]]
+        options = list(cli._COMMANDS[cmd][3])
+        assert rows == ["file", "-h,", *(f"--{k}" for k in options),
+                        "--strict", "--out"]
+        for key in options:
+            default, bounds, metavar, _ = cli._OPTIONS[key]
+            [row] = [line for line in lines if f"--{key}" in line]
+            if bounds:
+                assert row.split()[:2] == [f"--{key}", metavar]
+                assert row.endswith(
+                    f", {bounds[0]} to {bounds[1]} (default {default})")
+        assert "  --out FILE  " in out
+
+    def test_no_argparse_gettext_or_locale(self, tmp_path):
+        """A cold request reads its argv without argparse, whose first
+        message lookup imports gettext and locale."""
+        path = tmp_path / "cusp.json"
+        path.write_text(json.dumps(CUSP))
+        src = str(Path(zgrass.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c",
+             "import io, sys, contextlib, zgrass.cli\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             f"    code = zgrass.cli.main(['check', {str(path)!r}])\n"
+             "print(code, sorted(sys.modules))"],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        code, modules = proc.stdout.split(" ", 1)
+        assert code == "0"
+        assert {"argparse", "gettext", "locale"}.isdisjoint(eval(modules))
+
+
+@pytest.mark.parametrize("tail", [4, 40])
+def test_bilinear_obstruction_outside_the_block_is_skipped(tmp_path, capsys,
+                                                          tail):
+    """{-1: 1, 0: 2} is not sign-invariant, but from tail 4 on both
+    residuals vanish through --weight 4 and the (rows + 2) block of the
+    second residual matrix is zero: the obstruction is out of sight, so the
+    sign check skips rather than fails."""
+    point = dict(TAIL_40, tail=tail)
+    code, rep = run(tmp_path, point, "bilinear", "--weight", "4",
+                    capsys=capsys)
+    assert code == 0 and rep["ok"]
+    assert rep["report"]["sigma_invariant"] is False
+    assert not rep["report"]["second_residual"]["terms"]
+    assert [c for c in rep["checks"]
+            if c["name"] == "sign-residues-match-invariance"] == [{
+                "name": "sign-residues-match-invariance",
+                "status": "skipped",
+                "detail": "the sign obstruction lies above the 3 x 3 block "
+                          "and above --weight 4"}]
+    code, _ = run(tmp_path, point, "bilinear", "--weight", "4", "--strict",
+                  capsys=capsys)
+    assert code == 1
+
+
+# -- JSON codec round trip -------------------------------------------------------
+
+
+def poly_from_json(obj):
+    """A report polynomial read back: each coefficient through io's rational
+    codec, each monomial label as io.mono_str writes it ("t1^2 s3", "1")."""
+    def mono(label):
+        out = []
+        for var in label.split() if label != "1" else ():
+            name, _, mult = var.partition("^")
+            fam = name.rstrip("0123456789")
+            out.append(((fam, int(name[len(fam):])), int(mult or 1)))
+        assert (mono_str(tuple(out)) or "1") == label
+        return out
+
+    return TimePolynomial({tuple(mono(m)): parse_frac(c)
+                           for m, c in obj["terms"].items()}, obj["cap"])
+
+
+class TestCodecRoundTrip:
+    """Every polynomial, series, matrix and rational a golden report prints
+    reads back through the io codecs as the library value it came from."""
+
+    WINDOW = (-32, 32)
+
+    @staticmethod
+    def golden(name):
+        return json.loads((GOLDEN / f"{name}.json").read_text())["report"]
+
+    def point(self, obj):
+        return point_from_json(obj, self.WINDOW)
+
+    def test_tau(self):
+        rep = self.golden("tau_three_row")
+        want = tau.tau_function(self.point(THREE_ROW), 8)
+        assert want.terms and poly_from_json(rep["tau"]) == want
+
+    def test_baker(self):
+        rep = self.golden("baker_three_row")
+        pairs = tau.baker(self.point(THREE_ROW), 8)
+        assert len(rep["blocks"]) == len(pairs)
+        for got, (row, block) in zip(rep["blocks"], pairs):
+            assert series_from_json(got["row"]) == row
+            assert poly_from_json(got["block"]) == block
+
+    @pytest.mark.parametrize("name, obj, weight", [
+        ("bilinear_cusp", CUSP, 8), ("bilinear_cusp_w3", CUSP, 3),
+        ("bilinear_three_row", THREE_ROW, 8),
+        ("bilinear_three_row_w3", THREE_ROW, 3)])
+    def test_bilinear(self, name, obj, weight):
+        rep = self.golden(name)
+        u = self.point(obj)
+        n = len(u.rows) + 2
+        matrices = tau.baker_residual_matrices(u, max(weight, n))
+        r1, r2 = tau.bilinear_residues(matrices, weight)
+        assert poly_from_json(rep["first_residual"]) == r1
+        assert poly_from_json(rep["second_residual"]) == r2
+        assert matrix_from_json(rep["second_matrix"]) == [
+            row[:n] for row in matrices[1][:n]]
+
+    @pytest.mark.parametrize("name, obj, odd", [
+        ("orbit_three_row", THREE_ROW, False),
+        ("orbit_odd_curve_2_5", CURVE_2_5, True)])
+    def test_orbit(self, name, obj, odd):
+        rep = self.golden(name)
+        if obj["kind"] == "curve":
+            u = krichever.span_closure(*curve_from_json(obj, self.WINDOW))
+        else:
+            u = self.point(obj)
+        basis = krichever.orbit_profile(u, nmax=12, odd_only=odd).stabilizer
+        assert basis and [series_from_json(b)
+                          for b in rep["stabilizer"]] == list(basis)
+
+    def test_pfaffian(self):
+        rep = self.golden("pfaffian_six")
+        m = matrix_from_json(SIX_BY_SIX["entries"])
+        assert parse_frac(rep["pfaffian"]) == pfaffian(m)
+        assert parse_frac(rep["determinant"]) == det_field(m)
+
+    @pytest.mark.parametrize("name, obj", [("hierarchy_cusp", CUSP),
+                                           ("hierarchy_three_row", THREE_ROW)])
+    def test_hierarchy(self, name, obj):
+        rep = self.golden(name)
+        t = tau.tau_function(self.point(obj), hierarchy.suite_weight(2))
+        entries = hierarchy.constraint_suite(t, 2)
+        assert [None if e["value"] is None else parse_frac(e["value"])
+                for e in rep["suite"]] == [e.value for e in entries]
+
+    @pytest.mark.parametrize("name, obj, weight", [
+        ("family_square_two", TWO_FAMILY, 6),
+        ("family_square_parity0", PARITY0_FAMILY, 4)])
+    def test_family_square(self, name, obj, weight):
+        rep = self.golden(name)
+        flows, floor, base = family_from_json(obj)
+        window = (floor, -floor)
+        start = (FramePoint((), (), 0, window) if base is None
+                 else point_from_json(base, window))
+        g = cli.flow_exponential(flows, floor)
+        section = start.flow(g).plucker(())
+        got = rep["section"]  # a rational on the base orbit
+        assert (parse_frac(got) if isinstance(got, str)
+                else poly_from_json(got)) == section
+        assert parse_frac(rep["section_square"]["scale"]) == (
+            section_square_check(section).scale)
+        capped = LaurentSeries({
+            e: c.with_cap(weight) if isinstance(c, TimePolynomial) else c
+            for e, c in g.coeffs.items()})
+        t = tau.tau_function(start.flow(capped), weight)
+        assert poly_from_json(rep["tau"]) == t
+        if "root" in rep:
+            nf = tau.taubar(t, weight)
+            assert poly_from_json(rep["root"]) == nf.root
+            assert parse_frac(rep["scale"]) == nf.scale

@@ -2,8 +2,9 @@
 
 `zgrass -h` lists the commands (`_COMMANDS`), and `zgrass COMMAND -h` the
 options each reads (`_OPTIONS`).  Input files are JSON objects tagged by
-"kind" (see the io module).  Reports are deterministic JSON on stdout or
---out FILE; exit status 0 exactly when every asserted check passes.
+"kind" (see the io module).  Commands put library values into their reports,
+and io.to_json spells them: deterministic JSON on stdout or --out FILE; exit
+status 0 exactly when every asserted check passes.
 --strict also fails checks that were skipped for honest reasons
 (truncation too tight, a profile that has not settled).
 """
@@ -23,16 +24,14 @@ from .io import (
     frac_str,
     load_input,
     matrix_from_json,
-    matrix_to_json,
     point_from_json,
-    poly_to_json,
-    series_to_json,
+    to_json,
 )
 from .krichever import orbit_profile, p0_membership, span_closure
 from .linalg import det_field
 from .pfaffian import pfaffian, section_square_check
 from .series import LaurentSeries, exp_floor
-from .symfun import Partition, TimePolynomial, tvar
+from .symfun import TimePolynomial, tvar
 from .tau import (
     baker,
     baker_residual_matrices,
@@ -71,18 +70,6 @@ def flow_exponential(flows, floor):
     return exp_floor(LaurentSeries(coeffs), floor)
 
 
-def _json_value(v):
-    if v is None or isinstance(v, (bool, int, str)):
-        return v
-    if isinstance(v, Fraction):
-        return frac_str(v)
-    if isinstance(v, Partition):
-        return list(v.parts)
-    if isinstance(v, (list, tuple)):
-        return [_json_value(x) for x in v]
-    raise TypeError(f"no JSON form for {type(v).__name__}")
-
-
 # -- command bodies ------------------------------------------------------------
 
 
@@ -115,7 +102,7 @@ def cmd_check(obj, args):
             rep["isotropic"] = iso.isotropic
             rep["parity"] = iso.parity
             if iso.witness is not None:
-                rep["witness"] = _json_value(iso.witness)
+                rep["witness"] = iso.witness
         return rep, checks
 
     data, win = curve_from_json(obj, _win(args))
@@ -130,13 +117,7 @@ def cmd_check(obj, args):
             checks.append(_check(
                 "ring-closed", prym.ring,
                 "span of the ring generators is multiplicatively closed"))
-        rep["prym"] = {
-            "ring": prym.ring,
-            "sigma_invariant": prym.sigma_invariant,
-            "isotropic": prym.isotropic,
-            "parity": prym.parity,
-            "member": prym.member,
-        }
+        rep["prym"] = prym._asdict()
     else:
         checks.append(_skip("closure-certified",
                             "window-approximate tail; widen the window"))
@@ -147,7 +128,7 @@ def cmd_tau(obj, args):
     u = point_from_json(obj, _win(args))
     weight = args.weight
     tau = tau_function(u, weight)
-    rep = {"charge": u.charge, "tau": poly_to_json(tau)}
+    rep = {"charge": u.charge, "tau": tau}
     probe = min(weight, 4)
     # tau - moved is known through the lower cap, the probe, and vanishes
     # there exactly when the flowed minor matches tau
@@ -162,13 +143,8 @@ def cmd_baker(obj, args):
     u = point_from_json(obj, _win(args))
     pairs = baker(u, args.weight)
     first, _ = baker_residual_matrices(u)
-    rep = {
-        "charge": u.charge,
-        "blocks": [
-            {"row": series_to_json(r), "block": poly_to_json(b)}
-            for r, b in pairs
-        ],
-    }
+    rep = {"charge": u.charge,
+           "blocks": [{"row": r, "block": b} for r, b in pairs]}
     flat = [v for row in first for v in row]
     checks = [_check("duality-residues", not any(flat),
                      "pairings against the complement basis all vanish")]
@@ -183,12 +159,8 @@ def cmd_bilinear(obj, args):
     r1, r2 = bilinear_residues(matrices, args.weight)
     first, second = ([row[:n] for row in m[:n]] for m in matrices)
     inv = u.is_sigma_invariant()
-    rep = {
-        "first_residual": poly_to_json(r1),
-        "second_residual": poly_to_json(r2),
-        "second_matrix": matrix_to_json(second),
-        "sigma_invariant": inv,
-    }
+    rep = {"first_residual": r1, "second_residual": r2,
+           "second_matrix": second, "sigma_invariant": inv}
     flat1 = [v for row in first for v in row]
     flat2 = [v for row in second for v in row]
     # entry (i, j) pairs p_{i+1}(t) with p_{j+1}(s): it sits at weight i+j+2
@@ -214,27 +186,7 @@ def cmd_hierarchy(obj, args):
     tau = tau_function(u, suite_weight(args.maxsize))
     entries = constraint_suite(tau, args.maxsize)
     verdicts = suite_verdict(entries)
-    rep = {
-        "suite": [
-            {
-                "diagrams": _json_value(e.diagrams),
-                "family": e.family,
-                "needed": e.needed,
-                "status": e.status,
-                "value": None if e.value is None else frac_str(e.value),
-            }
-            for e in entries
-        ],
-        "verdicts": {
-            fam: {
-                "verdict": v["verdict"],
-                "checked": v["checked"],
-                "skipped": v["skipped"],
-                "failures": _json_value(v["failures"]),
-            }
-            for fam, v in verdicts.items()
-        },
-    }
+    rep = {"suite": [e._asdict() for e in entries], "verdicts": verdicts}
     checks = []
     for fam, v in verdicts.items():
         if v["verdict"] == "skipped":
@@ -255,13 +207,7 @@ def cmd_orbit(obj, args):
     else:
         u = point_from_json(obj, _win(args))
     prof = orbit_profile(u, nmax=args.nmax, odd_only=args.odd)
-    rep = {
-        "dims": list(prof.dims),
-        "odd_only": args.odd,
-        "stabilizer": [series_to_json(b) for b in prof.stabilizer],
-        "value": prof.value,
-        "verdict": prof.verdict,
-    }
+    rep = {**prof._asdict(), "odd_only": args.odd}
     if prof.verdict == "stable":
         checks = [_check("profile-stabilized", True,
                          f"dimension settles at {prof.value}")]
@@ -275,8 +221,7 @@ def cmd_pfaffian(obj, args):
     m = matrix_from_json(obj.get("entries"))
     pf = pfaffian(m)
     d = det_field(m)
-    rep = {"determinant": frac_str(d), "pfaffian": frac_str(pf),
-           "size": len(m)}
+    rep = {"determinant": d, "pfaffian": pf, "size": len(m)}
     checks = [_check("pfaffian-squares-to-determinant", pf * pf == d,
                      f"({frac_str(pf)})^2 against {frac_str(d)}")]
     return rep, checks
@@ -299,13 +244,11 @@ def cmd_family_square(obj, args):
     }))
     tau = tau_function(moved, cap=weight)
     rep = {
-        "flows": {str(k): c if isinstance(c, str) else frac_str(c)
-                  for k, c in sorted(flows.items())},
+        "flows": {str(k): c for k, c in sorted(flows.items())},
         "floor": floor,
-        "section": poly_to_json(pi0) if isinstance(pi0, TimePolynomial)
-        else frac_str(pi0),
-        "section_square": {"ok": sq.ok, "scale": frac_str(sq.scale)},
-        "tau": poly_to_json(tau),
+        "section": pi0,
+        "section_square": {"ok": sq.ok, "scale": sq.scale},
+        "tau": tau,
     }
     checks = [_check("prym-flow", is_prym_flow(g),
                      "flow times its sign image is the identity")]
@@ -339,8 +282,8 @@ def cmd_family_square(obj, args):
                             f"{cause}; no square-root normal form exists"))
         return rep, checks
     diff = nf.root * nf.root * nf.scale - odd_part(tau)
-    rep["root"] = poly_to_json(nf.root)
-    rep["scale"] = frac_str(nf.scale)
+    rep["root"] = nf.root
+    rep["scale"] = nf.scale
     checks.append(_check(
         "square-root-roundtrip", not diff,
         f"scale * root^2 returns the odd restriction through "
@@ -493,13 +436,21 @@ def _read_argv(argv):
     return SimpleNamespace(command=cmd, file=file, **values)
 
 
-def _emit(payload, args):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if getattr(args, "out", None):
+def _emit(payload, args, code):
+    """Write the report spelled by io.to_json; the exit code, or 2 when
+    --out cannot be written."""
+    text = json.dumps(to_json(payload), indent=2, sort_keys=True) + "\n"
+    if not args.out:
+        sys.stdout.write(text)
+        return code
+    try:
         with open(args.out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        sys.stderr.write(f"zgrass {args.command}: error: cannot write --out "
+                         f"{args.out}: {exc}\n")
+        return 2
+    return code
 
 
 def main(argv=None):
@@ -517,18 +468,17 @@ def main(argv=None):
                 f"got '{obj['kind']}'")
         report, checks = handler(obj, args)
     except OSError as exc:
-        _emit({**base, "error": str(exc)}, args)
-        return 2
+        return _emit({**base, "error": str(exc)}, args, 2)
     except ZgrassError as exc:
-        _emit({**base, "error": f"{type(exc).__name__}: {exc}"}, args)
-        return 2
+        return _emit({**base, "error": f"{type(exc).__name__}: {exc}"},
+                     args, 2)
     ok = all(
         c["status"] == "pass"
         or (c["status"] == "skipped" and not args.strict)
         for c in checks
     )
-    _emit({**base, "checks": checks, "ok": ok, "report": report}, args)
-    return 0 if ok else 1
+    return _emit({**base, "checks": checks, "ok": ok, "report": report},
+                 args, 0 if ok else 1)
 
 
 if __name__ == "__main__":

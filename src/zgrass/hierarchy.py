@@ -234,6 +234,7 @@ def curve_constraint(lam, tau, route="hall"):
 
 
 class SuiteEntry(NamedTuple):
+    # the field names are the keys of each `zgrass hierarchy` suite entry
     family: str
     diagrams: tuple
     value: Fraction | None

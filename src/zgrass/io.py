@@ -1,12 +1,14 @@
 """JSON codecs for the command line tool.
 
-Every rational travels as an exact string "p/q" -- the denominator is kept
-even when it is 1, so values round-trip byte-for-byte.  Laurent series are
-{exponent: rational} objects, matrices are row lists, and time polynomials
-come back out as {monomial: rational} with monomials spelled "t1^2 s3".
-Float values are rejected everywhere -- the pipeline is exact end to end
-and a binary float is almost always an upstream mistake.  Decimal strings
-("0.5") are fine; they parse exactly.
+Reports are spelled by one function, `to_json`.  Every rational travels as
+an exact string "p/q" -- the denominator is kept even when it is 1, so
+values round-trip byte-for-byte.  Laurent series are {exponent: rational}
+objects, matrices and tuples are lists, a partition is its list of parts,
+and a time polynomial is {"cap": weight or null, "terms": {monomial:
+rational}} with monomials spelled "t1^2 s3" ("1" is the constant).
+Float values are rejected everywhere on input -- the pipeline is exact end
+to end and a binary float is almost always an upstream mistake.  Decimal
+strings ("0.5") are fine; they parse exactly.
 
 Input files are single JSON objects tagged by "kind":
 
@@ -32,6 +34,7 @@ from .errors import ParseError
 from .grassmann import FramePoint
 from .krichever import CurveData
 from .series import LaurentSeries
+from .symfun import Partition, TimePolynomial
 
 KINDS = ("point", "matrix", "curve", "family")
 
@@ -81,10 +84,6 @@ def series_from_json(obj):
     return LaurentSeries(coeffs)
 
 
-def series_to_json(f):
-    return {str(e): frac_str(c) for e, c in sorted(f.coeffs.items())}
-
-
 def mono_str(mono):
     """Render a TimePolynomial monomial key: "t1^2 s3"; "" is the constant."""
     return " ".join(
@@ -92,9 +91,29 @@ def mono_str(mono):
     )
 
 
-def poly_to_json(p):
-    terms = {mono_str(m) or "1": frac_str(c) for m, c in p.terms.items()}
-    return {"cap": p.maxweight, "terms": dict(sorted(terms.items()))}
+def to_json(value):
+    """The JSON form of a report value, spelled as the module docstring
+    says; dicts, lists and tuples (NamedTuples included) convert item by
+    item.  Any other type raises TypeError: nothing reaches a report
+    unspelled."""
+    kind = type(value)
+    if value is None or kind is bool or kind is int or kind is str:
+        return value
+    if kind is Fraction:
+        return frac_str(value)
+    if kind is dict:
+        return {key: to_json(v) for key, v in value.items()}
+    if kind is list or isinstance(value, tuple):
+        return [to_json(v) for v in value]
+    if kind is Partition:
+        return list(value.parts)
+    if kind is LaurentSeries:
+        return {str(e): frac_str(c) for e, c in sorted(value.coeffs.items())}
+    if kind is TimePolynomial:
+        terms = {mono_str(m) or "1": frac_str(c)
+                 for m, c in value.terms.items()}
+        return {"cap": value.maxweight, "terms": dict(sorted(terms.items()))}
+    raise TypeError(f"no JSON form for {kind.__name__}")
 
 
 def matrix_from_json(rows):
@@ -103,10 +122,6 @@ def matrix_from_json(rows):
     if len(rows) > 64:
         raise ParseError(f"a matrix must have 0 to 64 rows, got {len(rows)}")
     return [[parse_frac(v) for v in row] for row in rows]
-
-
-def matrix_to_json(m):
-    return [[frac_str(v) for v in row] for row in m]
 
 
 def _window_from_json(obj, default):
@@ -198,9 +213,11 @@ def _unique_keys(pairs):
 
 def load_input(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh, object_pairs_hook=_unique_keys)
-    except json.JSONDecodeError as exc:
+    # ValueError also covers bytes that are not UTF-8 and integer literals
+    # past Python's digit limit; RecursionError, nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(obj, dict) or obj.get("kind") not in KINDS:
         raise ParseError(

@@ -166,6 +166,7 @@ def is_ring_point(u):
 
 
 class PrymReport(NamedTuple):
+    # the field names are the keys of the "prym" object of `zgrass check`
     ring: bool
     sigma_invariant: bool
     isotropic: bool | None
@@ -219,6 +220,7 @@ def stabilizer(u, n):
 
 
 class OrbitProfile(NamedTuple):
+    # the field names are keys of the `zgrass orbit` report
     dims: tuple
     verdict: str  # "stable" | "inconclusive"
     value: int | None

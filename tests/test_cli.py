@@ -22,6 +22,7 @@ from zgrass.io import (
     parse_frac,
     point_from_json,
     series_from_json,
+    to_json,
 )
 from zgrass.linalg import det_field
 from zgrass.pfaffian import pfaffian, section_square_check
@@ -127,6 +128,18 @@ class TestCheck:
         assert main(["check", str(path)]) == 2
         assert "error" in json.loads(capsys.readouterr().out)
 
+    @pytest.mark.parametrize("data", [
+        b"\xff\xfe{}",
+        b'{"kind": "point", "tail": ' + b"1" * 5000 + b"}",
+        b"[" * 100000 + b"]" * 100000,
+    ], ids=["not-utf8", "integer-past-digit-limit", "nested-too-deep"])
+    def test_unreadable_json_is_a_parse_error(self, tmp_path, capsys, data):
+        path = tmp_path / "input.json"
+        path.write_bytes(data)
+        assert main(["check", str(path)]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error.startswith(f"ParseError: {path}: invalid JSON (")
+
     def test_noncanonical_keys_are_errors(self, tmp_path, capsys):
         # each would collapse onto another spelling of the same exponent
         for key in ("00", "+1", "1_0", " 1", "-0", "01"):
@@ -192,6 +205,19 @@ class TestReports:
         code = main(["check", str(src), "--out", str(dst)])
         assert code == 0 and capsys.readouterr().out == ""
         assert json.loads(dst.read_text())["ok"]
+
+    @pytest.mark.parametrize("input_exists", [True, False],
+                             ids=["report", "error-report"])
+    def test_unwritable_out_file(self, tmp_path, capsys, input_exists):
+        src = tmp_path / "point.json"
+        if input_exists:
+            src.write_text(json.dumps(CUSP))
+        dst = tmp_path / "missing" / "report.json"
+        assert main(["check", str(src), "--out", str(dst)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1
+        assert err.startswith(
+            f"zgrass check: error: cannot write --out {dst}: ")
 
 
 class TestHierarchyCommand:
@@ -886,8 +912,9 @@ def poly_from_json(obj):
 
 
 class TestCodecRoundTrip:
-    """Every polynomial, series, matrix and rational a golden report prints
-    reads back through the io codecs as the library value it came from."""
+    """Every polynomial, series, matrix, rational, isotropy witness and Prym
+    flag a golden report prints reads back through the io codecs as the
+    library value it came from."""
 
     WINDOW = (-32, 32)
 
@@ -938,6 +965,37 @@ class TestCodecRoundTrip:
         basis = krichever.orbit_profile(u, nmax=12, odd_only=odd).stabilizer
         assert basis and [series_from_json(b)
                           for b in rep["stabilizer"]] == list(basis)
+
+    @pytest.mark.parametrize("name, obj", [
+        ("check_cusp", CUSP), ("check_pencil", PENCIL),
+        ("check_three_row", THREE_ROW)])
+    def test_check_point(self, name, obj):
+        rep = self.golden(name)
+        iso = self.point(obj).isotropy()
+        assert (rep["isotropic"], rep["parity"]) == iso[:2]
+        if iso.witness is None:
+            assert "witness" not in rep
+        else:
+            *where, value = rep["witness"]
+            assert (*where, parse_frac(value)) == iso.witness
+
+    def test_check_curve(self):
+        rep = self.golden("check_curve_2_5")
+        u = krichever.span_closure(*curve_from_json(CURVE_2_5, self.WINDOW))
+        assert rep["prym"] == krichever.p0_membership(u)._asdict()
+
+    def test_one_encoder(self):
+        # a value's JSON spelling has one home, io.to_json, which cli._emit
+        # applies once per report; no command converts a value by hand
+        assert [n for n in vars(zgrass.io) if n.endswith("to_json")] == [
+            "to_json"]
+        assert [n for n in vars(cli) if "json_value" in n
+                or n.endswith("to_json")] == ["to_json"]
+        assert Path(cli.__file__).read_text().count("to_json(") == 1
+
+    def test_to_json_refuses_other_types(self):
+        with pytest.raises(TypeError, match="FramePoint"):
+            to_json({"report": [self.point(CUSP)]})
 
     def test_pfaffian(self):
         rep = self.golden("pfaffian_six")

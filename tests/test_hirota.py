@@ -4,14 +4,16 @@
 independently of the Pluecker minors tau is built from: the oracle
 (frame_oracles.kp_defect) only differentiates the finished polynomial.  It
 runs on random exact frames of every small charge, on the monomial corpus
-(tau = s_lam), and on weight-capped taus, where it is read only through
-weight cap - 4.  A tau with one Pluecker coordinate perturbed must fail it.
+(tau = s_lam), on weight-capped taus, where it is read only through
+weight cap - 4, and on the flowed taus `zgrass family-square` prints.  A
+tau with one Pluecker coordinate perturbed must fail it.
 """
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from frame_oracles import hirota, kp_defect
+from zgrass.cli import flow_exponential
 from zgrass.grassmann import FramePoint
 from zgrass.series import LaurentSeries
 from zgrass.symfun import TimePolynomial, partitions_upto, schur, tvar
@@ -110,3 +112,30 @@ class TestKP:
             bad = perturbed(u, i)
             assert kp_defect(bad).terms, lam
             assert kp_defect(bad.with_cap(8)).terms, lam
+
+
+class TestFamilySquare:
+    """KP on tau of a base point flowed by a formal family, built as
+    `zgrass family-square` builds it: every flow coefficient capped at the
+    weight.  The base is not the vacuum, whose flowed tau is the constant 1;
+    the taus are polynomials in t and the family parameters."""
+
+    @pytest.mark.parametrize("flows, gens, tail", [
+        ({1: "a", 3: "b"}, [{-1: 1, 1: 1}], 1),
+        ({1: "a", 3: "a"}, [{-2: 1, 0: 3}, {-1: 1, 1: 2}], 2),
+        ({1: "a", 3: "b"}, [{-2: 1, 0: 3, 1: -1}, {-1: 1, 1: 2, 2: 1}], 2),
+    ], ids=["one-row", "two-row", "two-row-two-families"])
+    def test_flowed_tau(self, flows, gens, tail):
+        weight, floor = 8, -10
+        start = FramePoint.from_gens([LaurentSeries(g) for g in gens], tail,
+                                     (floor, -floor))
+        g = flow_exponential(flows, floor)
+        capped = LaurentSeries({
+            e: c.with_cap(weight) if isinstance(c, TimePolynomial) else c
+            for e, c in g.coeffs.items()})
+        t = tau_function(start.flow(capped), weight)
+        families = {fam for mono in t.terms for (fam, _), _ in mono}
+        assert families - {"t"}
+        d = kp_defect(t)
+        assert d.maxweight == weight - 4 and not d.terms
+        assert kp_defect(t + tvar(2).with_cap(weight)).terms

@@ -15,7 +15,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 from . import __version__
-from .errors import OddParity, ParseError, ZgrassError
+from .errors import OddParity, ParseError, WindowTooSmall, ZgrassError
 from .grassmann import FramePoint, _is_unit_one, is_prym_flow
 from .hierarchy import constraint_suite, suite_verdict, suite_weight
 from .io import (
@@ -57,7 +57,7 @@ def _win(args):
 
 
 def flow_exponential(flows, floor):
-    """exp(sum c_k z^-k) as an exact series, materialized down to the floor.
+    """exp(sum c_k z^-k) as an exact series, written out down to the floor.
 
     A string coefficient names a formal family: the flow along z^-k then
     carries the weight-k variable of that family, so minors and tau values
@@ -204,6 +204,8 @@ def cmd_orbit(obj, args):
     if obj["kind"] == "curve":
         data, win = curve_from_json(obj, _win(args))
         u = span_closure(data, win)
+        if not u.exact:
+            raise WindowTooSmall("window-approximate tail; widen the window")
     else:
         u = point_from_json(obj, _win(args))
     prof = orbit_profile(u, nmax=args.nmax, odd_only=args.odd)

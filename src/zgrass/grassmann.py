@@ -17,12 +17,14 @@ points are window-approximate instead: their rows are verbatim products (not
 re-normalized -- minor values along an orbit must pull back unscaled), their
 declared pivots are bookkeeping rather than valuations, and a minor refuses
 to sample below the depth at which the stored rows stop being true, or past
-the rows the window let the flow materialize.
+the rows the window let the flow write out.  Minors, Baker rows and
+stabilizer conditions all read FramePoint.basis: the explicit rows, then the
+tail monomials z^-(tail_j+1), z^-(tail_j+2), ....
 
 The window (lo, hi) is an inclusive exponent range; its floor decides how
-much of a tail gets materialized when a point moves, and computations that
+much of a tail a flow writes out as explicit rows, and computations that
 would need data the window never certified raise WindowTooSmall rather than
-return a number.
+return a number.  An exact frame's minors do not depend on its window.
 
 The one involution frames know is the sign flip z -> -z (LaurentSeries.flip):
 it maps monomials to monomials, so isotropy and invariance stay exact, and the
@@ -101,7 +103,6 @@ class FramePoint:
                 raise IndexMismatch("pivots must be strictly decreasing")
         if self.pivots and self.pivots[-1] < -tail_j:
             raise IndexMismatch("pivot below the tail boundary")
-        self._mat_cache = {}
 
     # -- constructors --------------------------------------------------------
 
@@ -152,21 +153,11 @@ class FramePoint:
         """Index relative to the reference point; len(rows) - tail_j always."""
         return len(self.rows) - self.tail_j
 
-    def materialized(self, floor=None):
-        """Rows plus tail monomials, descending declared pivot, down to floor."""
-        if floor is None:
-            floor = self.window[0]
-        if floor in self._mat_cache:
-            return self._mat_cache[floor]
-        out = list(self.rows)
-        pivs = list(self.pivots)
-        j = self.tail_j + 1
-        while -j >= floor:
-            out.append(LaurentSeries.monomial(-j))
-            pivs.append(-j)
-            j += 1
-        self._mat_cache[floor] = (out, pivs)
-        return out, pivs
+    def basis(self, n):
+        """The first n basis rows, descending declared pivot: the explicit
+        rows, then tail monomials (row i >= len(rows) is z^(charge-1-i))."""
+        return [*self.rows[:n], *(LaurentSeries.monomial(self.charge - 1 - i)
+                                  for i in range(len(self.rows), n))]
 
     def __repr__(self):
         kind = "exact" if self.exact else "approx"
@@ -206,38 +197,29 @@ class FramePoint:
     def same_subspace(self, other):
         if self.charge != other.charge:
             return False
-        for a, b in ((self, other), (other, self)):
-            for r in a.rows:
-                if not b.contains(r):
-                    return False
-            # tails must agree above the deeper boundary
-            for j in range(min(a.tail_j, b.tail_j) + 1, max(a.tail_j, b.tail_j) + 1):
-                if j > a.tail_j and not b.contains(LaurentSeries.monomial(-j)):
-                    return False
-        return True
+        # each side's basis down to the deeper tail lies in the other side
+        return all(
+            b.contains(r)
+            for a, b in ((self, other), (other, self))
+            for r in a.basis(len(a.rows) + max(0, b.tail_j - a.tail_j))
+        )
 
     # -- minors ---------------------------------------------------------------
 
     def minor(self, cols):
         """Determinant of the frame sampled at the given exponent columns.
 
-        Row i is the i-th materialized row (descending declared pivot); the
-        entry at column c is its z^c coefficient.  Exact frames may be
-        sampled at any depth (the tail really is monomial).  Approximate
-        frames sample explicit rows only -- the implicit tail stands in for
-        rows the window could not certify -- and refuse columns below the
-        row data floor.
+        Row i is the i-th basis row (descending declared pivot); the entry
+        at column c is its z^c coefficient.  Exact frames may be sampled at
+        any depth, whatever their window (the tail really is monomial).
+        Approximate frames sample explicit rows only -- the implicit tail
+        stands in for rows the window could not certify -- and refuse
+        columns below the row data floor.
         """
         n = len(cols)
         if n == 0:
             return Fraction(1)
-        if self.exact:
-            rows, _ = self.materialized(min(min(cols), self.window[0]))
-            if len(rows) < n:
-                raise WindowTooSmall(
-                    f"only {len(rows)} rows above the tail, need {n}"
-                )
-        else:
+        if not self.exact:
             if n > len(self.rows):
                 raise WindowTooSmall(
                     f"frame holds {len(self.rows)} certified rows, need {n}"
@@ -246,7 +228,7 @@ class FramePoint:
                 raise WindowTooSmall(
                     f"column {min(cols)} below the data floor {self.row_floor}"
                 )
-            rows = self.rows
+        rows = self.basis(n)
         mat = [
             [rows[i].coeffs.get(c, Fraction(0)) for c in cols]
             for i in range(n)
@@ -262,7 +244,7 @@ class FramePoint:
         Columns are d + lam_i - i over enough rows to cover every explicit
         generator.  The value is stable against enlarging the minor: for an
         exact frame the extra row/column pairs are matched monomials, and a
-        flow materializes every row with support inside the window, so the
+        flow writes out every row with support inside the window, so the
         unsampled remainder always extends the determinant by units on the
         diagonal.
         """
@@ -281,7 +263,7 @@ class FramePoint:
         and the charge changes by it.  A monomial flow is an exact shift; any
         other flow produces a window-approximate point whose rows are the
         verbatim products g * (old basis), with enough of the old tail
-        materialized that everything supported inside the window is explicit.
+        written out that everything supported inside the window is explicit.
 
         Non-monomial g must have coefficient 1 at its anchor, so that minor
         values along the orbit are pinned rather than rescaled.
@@ -310,6 +292,7 @@ class FramePoint:
         j_max = top - lo
         j_hi = max(self.tail_j, j_max)
         mat_js = range(self.tail_j + 1, j_hi + 1)
+        # shift g: z^-j * g would multiply each polynomial coefficient by 1
         rows = [r * g for r in self.rows] + [g.shift(-j) for j in mat_js]
         pivs = [p + anchor for p in self.pivots] + [anchor - j for j in mat_js]
         lo2 = lo if self.exact else lo + max(0, top)
@@ -368,6 +351,7 @@ class FramePoint:
                 v = pair_sigma(r, self.rows[k])
                 if v:
                     return IsotropyReport(False, parity, ("row", i, "row", k, v))
+        # own loop: the witness is the first failing pair, row-row pairs first
         for i, r in enumerate(self.rows):
             top = r.top if r.top is not None else -(J + 1)
             for j in range(J + 1, top + 2):

@@ -77,15 +77,12 @@ def _cert_need(g):
 
 
 def _closed_under(u, gens):
-    for g in gens:
-        for r in u.rows:
-            if not u.contains(r * g):
-                return False
-        top = max(g.coeffs, default=0)
-        for j in range(u.tail_j + 1, u.tail_j + 1 + max(0, top)):
-            if not u.contains(g.shift(-j)):
-                return False
-    return True
+    # tail monomials deeper than g's top exponent keep g's product in the tail
+    return all(
+        u.contains(r * g)
+        for g in gens
+        for r in u.basis(len(u.rows) + max([0, *g.coeffs]))
+    )
 
 
 def span_closure(gens, window=DEFAULT_WINDOW, module_gens=()):
@@ -194,19 +191,15 @@ def p0_membership(u):
 def stabilizer(u, n):
     """Basis of {f in span{z^-n..z^n} : f U inside U}, exactly.
 
-    Constraints are linear: for every row and every shallow tail monomial,
+    Constraints are linear: for each of the first len(rows) + n basis rows,
     the reduction of z^e times it must leave nothing visible.  Deeper tail
     monomials cannot escape the tail and impose nothing.
     """
     if not u.exact:
         raise ZgrassError("stabilizer needs an exact frame")
     exps = list(range(-n, n + 1))
-    targets = list(u.rows) + [
-        LaurentSeries.monomial(-j)
-        for j in range(u.tail_j + 1, u.tail_j + n + 1)
-    ]
     crows = []
-    for b in targets:
+    for b in u.basis(len(u.rows) + n):
         rems = [u.reduce(b.shift(e)) for e in exps]
         seen = sorted(
             {ex for r in rems for ex in r.coeffs if ex >= -u.tail_j}

@@ -343,21 +343,14 @@ class TimePolynomial:
         if not c0:
             raise ZgrassError("not a unit: zero constant term")
         cinv = Fraction(1) / c0
-        q = (self - c0) * cinv
+        # self = c0 * (1 - q), so its inverse is cinv * (1 + q + q^2 + ...)
+        q = (self - c0) * -cinv
         if not q:
             return tconst(cinv).with_cap(self.maxweight)
         if self.maxweight is None:
             raise ZgrassError("nonconstant polynomial has no polynomial inverse")
-        out = tconst(1).with_cap(self.maxweight)
-        term = out
-        while True:
-            term = term * q
-            if not term:
-                break
-            out = out - term
-            term = term * q
-            if not term:
-                break
+        out = term = tconst(1).with_cap(self.maxweight)
+        while term := term * q:
             out = out + term
         return out * cinv
 

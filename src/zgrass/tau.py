@@ -141,17 +141,14 @@ def taubar(tau, weight):
 def _basis(u, count):
     if not u.exact:
         raise ZgrassError("residual pairings need exact frames on both sides")
-    rows, _ = u.materialized(-(u.tail_j + max(0, count - len(u.rows))))
-    if len(rows) < count:
-        raise ZgrassError(f"frame yields only {len(rows)} basis rows")
-    return rows[:count]
+    return u.basis(count)
 
 
 def baker(u, weight):
     """Baker series of the point, as (basis row, polynomial block) pairs.
 
     Block i is the universal polynomial p_i in the times t, capped at the
-    weight; rows run through the canonical basis in materialized order
+    weight; rows run through the canonical basis in basis order
     (explicit rows by descending pivot, then tail monomials).  Blocks beyond
     the weight are homogeneous of too-high weight and are omitted.  The full
     object is psi(z, t) = z * sum_i row_i(z) * block_i(t).

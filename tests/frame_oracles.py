@@ -129,16 +129,13 @@ def exchange_defect(u, lam_a, lam_b, slot=0):
 def coset_reps(a, b):
     """Representatives of a basis of A/(A intersect B), descending pivot.
 
-    Both points must be exact.  Candidates are A's materialized rows down to
-    the deeper of the two tails; a candidate survives when its B-remainder is
+    Both points must be exact.  Candidates are A's basis rows down to the
+    deeper of the two tails; a candidate survives when its B-remainder is
     independent of the remainders already taken.
     """
     if not (a.exact and b.exact):
         raise ZgrassError("coset representatives need exact frames")
-    jm = max(a.tail_j, b.tail_j)
-    cands = list(a.rows) + [
-        LaurentSeries.monomial(-j) for j in range(a.tail_j + 1, jm + 1)
-    ]
+    cands = a.basis(len(a.rows) + max(0, b.tail_j - a.tail_j))
     _, kept = echelon(
         [b.reduce(v).drop_below(-b.tail_j).coeffs for v in cands]
     )

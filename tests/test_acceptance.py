@@ -280,7 +280,7 @@ def test_orbit_profiles_match_gap_oracle():
         degrees = sorted(-min(b.coeffs) if min(b.coeffs) < 0 else 0
                          for b in basis)
         assert degrees == [i for i in range(n + 1) if hit[i]]
-        rows, _ = u.materialized(-(u.tail_j + n + 2))
+        rows = u.basis(len(u.rows) + n + 2)
         for b in basis:
             for r in rows:
                 assert u.contains(b * r)

@@ -409,6 +409,18 @@ class TestOrbitCommand:
                       capsys=capsys)
         assert code == 1
 
+    def test_uncertified_curve_names_the_window(self, tmp_path, capsys):
+        # check skips closure-certified on this span; orbit refuses it
+        curve = {"kind": "curve", "window": [-6, 6],
+                 "ring_gens": [{"-2": "1"}, {"-3": "1", "1": "1"}]}
+        reason = "window-approximate tail; widen the window"
+        code, rep = run(tmp_path, curve, "check", capsys=capsys)
+        assert code == 0 and names(rep, "skipped") == ["closure-certified"]
+        assert [c["detail"] for c in rep["checks"]] == [reason]
+        code, rep = run(tmp_path, curve, "orbit", capsys=capsys)
+        assert code == 2
+        assert rep["error"] == f"WindowTooSmall: {reason}"
+
     def test_nmax_below_one_is_an_error(self, tmp_path, capsys):
         for nmax in ("0", "-3"):
             code, rep = run(tmp_path, CURVE, "orbit", "--nmax", nmax,

@@ -190,6 +190,20 @@ class TestPlucker:
         with pytest.raises(WindowTooSmall):
             u.plucker(deep)
 
+    def test_exact_minor_below_the_window_floor(self):
+        # columns 0, -1, -2 against the tail rows z^-1, z^-2, z^-3
+        assert FramePoint.vacuum((-2, 2)).plucker((1, 1, 1)) == 0
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_exact_minors_ignore_the_window(self, data):
+        u = data.draw(small_frames())
+        lam = data.draw(st.lists(st.integers(1, 4), max_size=len(u.rows) + 2)
+                        .map(lambda ps: sorted(ps, reverse=True)))
+        narrow, wide = (FramePoint(u.rows, u.pivots, u.tail_j, w)
+                        for w in ((-1, 1), (-12, 12)))
+        assert narrow.plucker(lam) == wide.plucker(lam)
+
 
 class TestFlow:
     def test_monomial_shift(self):
@@ -441,6 +455,23 @@ def small_frames(draw):
     return FramePoint.from_gens(gens, tail, allow_dependent=True)
 
 
+class TestBasis:
+    @settings(max_examples=200)
+    @given(small_frames(), st.integers(0, 6))
+    def test_rows_then_tail_monomials(self, u, n):
+        basis = u.basis(n)
+        k = min(n, len(u.rows))
+        assert len(basis) == n
+        assert tuple(basis[:k]) == u.rows[:n]
+        assert basis[k:] == [mono(-(u.tail_j + 1 + i)) for i in range(n - k)]
+        assert all(u.contains(r) for r in basis)
+
+    def test_a_frame_holds_no_cache(self):
+        # extends test_symfun's guard on module-level memo dicts
+        assert [name for name, v in vars(FramePoint.vacuum()).items()
+                if name.endswith("_cache") and isinstance(v, dict)] == []
+
+
 class TestEchelonOracles:
     @settings(max_examples=200)
     @given(generator_lists(), st.booleans())
@@ -583,8 +614,8 @@ class TestSignFlip:
         assert twisted.charge == -u.charge
         reach = max([abs(u.tail_j), abs(twisted.tail_j)]
                     + [r.top for r in u.rows + twisted.rows])
-        rows_u, _ = u.materialized(-(reach + 1))
-        rows_t, _ = twisted.materialized(-(reach + 1))
+        rows_u = u.basis(len(u.rows) + reach + 1 - u.tail_j)
+        rows_t = twisted.basis(len(twisted.rows) + reach + 1 - twisted.tail_j)
         assert all(pair_sigma(a, b) == 0 for a in rows_u for b in rows_t)
         if u.charge == 0:
             assert u.isotropy().isotropic == u.same_subspace(twisted)

@@ -192,6 +192,11 @@ class TestRingPoint:
         bad = FramePoint.from_gens([ONE, mono(-2) + mono(1)], 3, W)
         assert not is_ring_point(bad)
 
+    def test_closed_under_reaches_the_tail(self):
+        # the vacuum has no rows: only its tail monomial z^-1 meets z in 1
+        assert krichever._closed_under(FramePoint.vacuum(W), [mono(1)]) is False
+        assert krichever._closed_under(FramePoint.vacuum(W), [mono(-1)]) is True
+
     def test_needs_exact(self):
         u = span_closure([mono(-2) + mono(-1), mono(-3)], W)
         with pytest.raises(ZgrassError):

@@ -315,11 +315,11 @@ class TestOneElimination:
         # the pivot columns give a nonzero minor; move up to two of them
         # off the pivots, then sample the columns in any order
         n = data.draw(st.integers(1, len(u.rows) + 2))
-        cols = list(u.materialized()[1][:n])
+        cols = [r.low for r in u.basis(n)]
         for k in data.draw(st.lists(st.integers(0, n - 1), max_size=2)):
             cols[k] = data.draw(st.integers(-tail - 3, 3).filter(
                 lambda c: c not in cols))
         cols = data.draw(st.permutations(cols))
-        rows, _ = u.materialized(min(min(cols), u.window[0]))
+        rows = u.basis(n)
         mat = [[rows[i].coeffs.get(c, 0) for c in cols] for i in range(n)]
         assert u.minor(cols) == dividing_det(mat)

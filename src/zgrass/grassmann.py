@@ -44,7 +44,7 @@ from .errors import (
     ZeroInput,
     ZgrassError,
 )
-from .linalg import det_ring, det_unit, echelon, nullspace
+from .linalg import det_ring, det_unit, echelon, kernel
 from .series import LaurentSeries, pair_sigma
 from .symfun import Partition
 
@@ -118,7 +118,6 @@ class FramePoint:
         tail_j,
         window=DEFAULT_WINDOW,
         allow_dependent=False,
-        exact=True,
     ):
         """Canonical frame from explicit generators over the tail.
 
@@ -144,7 +143,7 @@ class FramePoint:
             rows.pop()
             pivots.pop()
             tail_j -= 1
-        return cls(rows, pivots, tail_j, window, exact=exact)
+        return cls(rows, pivots, tail_j, window)
 
     # -- bookkeeping ---------------------------------------------------------
 
@@ -310,27 +309,24 @@ class FramePoint:
     def orthogonal(self):
         """Orthogonal complement under the residue pairing Res f g dz.
 
-        The complement is polynomial-type and exact, of charge minus the
-        charge of the point.  Under the pairing twisted by the sign flip the
+        The complement is polynomial-type, of charge minus the charge of the
+        point, and exact when the point is.  Every z^e below -1 - maxtop,
+        maxtop the rows' top exponent, pairs to zero with the rows: that is
+        its tail.  Above it, sum c_e z^e is orthogonal when c_(-1-x), keyed
+        by x, lies in the kernel of the rows cut at the point's tail.  That
+        kernel, one vector monic at each free x ascending, read through
+        e = -1 - x is already the canonical frame.  Under the pairing twisted by the sign flip the
         complement is the flip of this one.
         """
-        J = self.tail_j
-        floor_e = -(max(r.top for r in self.rows) + 1) if self.rows else J
+        maxtop = max((r.top for r in self.rows), default=-1 - self.tail_j)
+        floor_e = -1 - maxtop
         if floor_e < self.window[0]:
             raise WindowTooSmall("complement tail starts below the window")
-        cand = range(floor_e, J)
-        mat = [
-            [row.coeffs.get(-1 - e, Fraction(0)) for e in cand]
-            for row in self.rows
-        ]
-        basis = nullspace(mat, len(cand))
-        gens = [
-            LaurentSeries({e: v[k] for k, e in enumerate(cand)})
-            for v in basis
-        ]
-        return FramePoint.from_gens(
-            gens, -floor_e, self.window, allow_dependent=True, exact=self.exact
-        )
+        cut = [r.drop_below(-self.tail_j).coeffs for r in self.rows]
+        rows = [LaurentSeries({-1 - x: c for x, c in v.items()})
+                for v in kernel(cut, range(-self.tail_j, maxtop + 1))]
+        return FramePoint(rows, [r.low for r in rows], -floor_e, self.window,
+                          exact=self.exact)
 
     # -- the isotropic locus ----------------------------------------------------
 
@@ -398,12 +394,8 @@ class FramePoint:
         lo, hi = self.window
         wwin = (lo // 2, max(hi // 2, lo // 2 + 1))
         J = self.tail_j
-        we = FramePoint.from_gens(
-            ev, J // 2, wwin, allow_dependent=True, exact=self.exact
-        )
-        wo = FramePoint.from_gens(
-            od, (J + 1) // 2, wwin, allow_dependent=True, exact=self.exact
-        )
+        we = FramePoint.from_gens(ev, J // 2, wwin, allow_dependent=True)
+        wo = FramePoint.from_gens(od, (J + 1) // 2, wwin, allow_dependent=True)
         if we.charge + wo.charge != self.charge:
             raise IndexMismatch("even/odd charges do not add up")
         return we, wo

@@ -23,7 +23,8 @@ A family flow value is either an exact rational or the name of a formal
 coefficient family ("a" above); the name "t" is reserved for the times.
 Exponent keys are spelled canonically ("1", "-2"; not "01", "+1" or "-0"),
 no object repeats a key, a window lies in -64..64 (as the --window radius
-does), a family's floor lies in -48..-1, and a matrix has at most 64 rows.
+does), a point's tail in 0..4096, a family's floor in -48..-1, and a matrix
+has at most 64 rows.
 """
 
 import json
@@ -144,8 +145,12 @@ def point_from_json(obj, window):
     if not isinstance(gens, list):
         raise ParseError("a point file needs a list of generators under 'gens'")
     tail = obj.get("tail")
-    if not isinstance(tail, int) or isinstance(tail, bool) or tail < 0:
-        raise ParseError(f"'tail' must be a nonnegative integer, got {tail!r}")
+    # bounds the cost: on the one-row point {-1: 1, 0: 2} at tail 4096,
+    # check, baker and bilinear take 0.01-0.03 s, hierarchy 0.1 s, tau and
+    # orbit under 0.01 s (in process, one Xeon core)
+    if type(tail) is not int or not 0 <= tail <= 4096:
+        raise ParseError(
+            f"'tail' must be an integer between 0 and 4096, got {tail!r}")
     win = _window_from_json(obj, window)
     return FramePoint.from_gens([series_from_json(g) for g in gens], tail, win)
 

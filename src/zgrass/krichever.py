@@ -21,7 +21,6 @@ one place a general substitution is composed, and every other tool here
 reads the involution as LaurentSeries.flip.
 """
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import (
@@ -33,7 +32,7 @@ from .errors import (
     ZgrassError,
 )
 from .grassmann import DEFAULT_WINDOW, FramePoint
-from .linalg import nullspace
+from .linalg import echelon, kernel
 from .series import LaurentSeries
 
 
@@ -193,23 +192,19 @@ def stabilizer(u, n):
 
     Constraints are linear: for each of the first len(rows) + n basis rows,
     the reduction of z^e times it must leave nothing visible.  Deeper tail
-    monomials cannot escape the tail and impose nothing.
+    monomials cannot escape the tail and impose nothing.  The basis is the
+    kernel of those sparse constraints, one series per free exponent.
     """
     if not u.exact:
         raise ZgrassError("stabilizer needs an exact frame")
-    exps = list(range(-n, n + 1))
+    exps = range(-n, n + 1)
     crows = []
     for b in u.basis(len(u.rows) + n):
         rems = [u.reduce(b.shift(e)) for e in exps]
-        seen = sorted(
-            {ex for r in rems for ex in r.coeffs if ex >= -u.tail_j}
-        )
-        for ex in seen:
-            crows.append([r.coeffs.get(ex, Fraction(0)) for r in rems])
-    basis = nullspace(crows, len(exps))
-    return [
-        LaurentSeries({e: c for e, c in zip(exps, v) if c}) for v in basis
-    ]
+        for ex in {ex for r in rems for ex in r.coeffs if ex >= -u.tail_j}:
+            crows.append({e: r.coeffs[ex] for e, r in zip(exps, rems)
+                          if ex in r.coeffs})
+    return [LaurentSeries(v) for v in kernel(crows, exps)]
 
 
 class OrbitProfile(NamedTuple):
@@ -233,22 +228,20 @@ def orbit_profile(u, nmax=12, odd_only=False):
     solve the exact condition f U inside U, each on its own window (the
     extra tail targets at nmax only constrain exponents above n), so the
     level-n stabilizer is the level-nmax one cut down to z^-n..z^n, and
-    its overlap with the flows is the level-nmax stabilizer's overlap.
+    its overlap with the flows is the level-nmax stabilizer's overlap.  One
+    echelon pass reads every overlap: with flow z^-i keyed to 2 nmax + 1 - i,
+    past every other exponent, level n's is spanned by the rows whose pivot
+    lies above 2 nmax - n.
     """
     if nmax < 1:
         raise ZgrassError(f"nmax must be at least 1, got {nmax}")
     stab = stabilizer(u, nmax)
-    dims = []
-    for n in range(1, nmax + 1):
-        flows = [i for i in range(1, n + 1) if not (odd_only and i % 2 == 0)]
-        keep = {-i for i in flows}
-        crows = [
-            [s.coeffs.get(e, Fraction(0)) for s in stab]
-            for e in range(-nmax, nmax + 1)
-            if e not in keep
-        ]
-        overlap = len(nullspace(crows, len(stab))) if stab else 0
-        dims.append(len(flows) - overlap)
+    flows = [i for i in range(1, nmax + 1) if not (odd_only and i % 2 == 0)]
+    key = {-i: 2 * nmax + 1 - i for i in flows}
+    basis, _ = echelon(
+        [{key.get(e, e): c for e, c in s.coeffs.items()} for s in stab])
+    dims = [sum(i <= n for i in flows) - sum(p > 2 * nmax - n for p in basis)
+            for n in range(1, nmax + 1)]
     stable = len(dims) >= 3 and dims[-1] == dims[-2] == dims[-3]
     return OrbitProfile(
         tuple(dims),

@@ -5,9 +5,10 @@ elimination (det_field is det_unit over Fraction); det_ring expands, over
 rings without unit pivots.  _is_unit is the one pivot test, shared with the
 skew elimination of pfaffian.pfaffian.  echelon is the one row reduction: it
 reduces sparse rows one at a time against a sparse echelon basis, since the
-systems it solves have many more rows than rank, and rref, nullspace and
-frames (FramePoint.from_gens) all read their answers off it.  Sizes stay
-small (a few dozen rows at most) and exactness is the point.
+systems it solves have many more rows than rank.  Frames
+(FramePoint.from_gens) and orbit profiles read their answers off it, and so
+does kernel, the sparse kernel of residue complements and stabilizers; rref
+and nullspace are their dense views.  Exactness is the point.
 """
 
 from bisect import insort
@@ -168,23 +169,20 @@ def _axpy(v, f, w):
             del v[c]
 
 
-def nullspace(rows, ncols):
-    """Basis of the right kernel of the matrix, one vector per free column.
+def kernel(rows, cols):
+    """Right kernel of sparse rows keyed by the ascending columns cols.
 
-    Read off echelon's basis: the vector of free column fc carries a 1 at fc
-    and -row[fc] at each pivot row's column; deterministic order.
+    One echelon pass: the vector of each free column c, in the order of
+    cols, is sparse, 1 at c and -row[c] at each pivot whose row reaches c.
     """
-    basis, _ = echelon(_sparse(rows), ncols)
-    zero, one = Fraction(0), Fraction(1)
-    out = []
-    for fc in range(ncols):
-        if fc in basis:
-            continue
-        v = [zero] * ncols
-        v[fc] = one
-        for p, row in basis.items():
-            x = row.get(fc)
-            if x:
-                v[p] = -x
-        out.append(v)
-    return out
+    basis, _ = echelon(rows)
+    one = Fraction(1)
+    return [{c: one, **{p: -row[c] for p, row in basis.items() if c in row}}
+            for c in cols if c not in basis]
+
+
+def nullspace(rows, ncols):
+    """Dense view of kernel: one list per free column of the matrix."""
+    zero = Fraction(0)
+    return [[v.get(c, zero) for c in range(ncols)]
+            for v in kernel(_sparse(rows), range(ncols))]

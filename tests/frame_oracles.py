@@ -5,20 +5,23 @@ assemble_even_odd inverts FramePoint.split_even_odd, coset_reps picks
 representatives of A/(A cap B), mti_duality_check pairs two transverse points
 through them, and gram_pfaffian is the Pfaffian of the Gram matrix
 gram_matrix.  flipped is the image of a point under the sign flip, and
-evaluate reads a time polynomial at rational times.  hirota forms the
+evaluate reads a time polynomial at rational times.  nullspace_complement is
+the residue complement by a dense nullspace and a second elimination, and
+echelon_calls counts the rows of every echelon pass.  hirota forms the
 Hirota bilinear derivative D^alpha tau.tau and kp_defect the left side of the
 KP equation in Hirota form, an oracle for tau polynomials that uses only
 TimePolynomial.differentiate.
 """
 
+import importlib
 from fractions import Fraction
 from itertools import product
 from math import comb, prod
 from typing import NamedTuple
 
-from zgrass.errors import ZgrassError
+from zgrass.errors import WindowTooSmall, ZgrassError
 from zgrass.grassmann import DEFAULT_WINDOW, FramePoint, _chart_columns
-from zgrass.linalg import det_field, echelon
+from zgrass.linalg import det_field, echelon, nullspace
 from zgrass.pfaffian import pfaffian
 from zgrass.series import LaurentSeries, pair_sigma
 from zgrass.symfun import Partition, TimePolynomial
@@ -32,6 +35,41 @@ def flipped(u):
     return FramePoint.from_gens(
         [r.flip() for r in u.rows], u.tail_j, u.window, allow_dependent=True,
     )
+
+
+def nullspace_complement(u):
+    """FramePoint.orthogonal as it was before it read its frame off one
+    sparse kernel: the dense kernel of the pairing matrix over the exponents
+    e in [floor, tail_j), then from_gens on its vectors; kept as an
+    oracle."""
+    J = u.tail_j
+    floor_e = -(max(r.top for r in u.rows) + 1) if u.rows else J
+    if floor_e < u.window[0]:
+        raise WindowTooSmall("complement tail starts below the window")
+    cand = range(floor_e, J)
+    mat = [[row.coeffs.get(-1 - e, Fraction(0)) for e in cand]
+           for row in u.rows]
+    gens = [LaurentSeries({e: v[k] for k, e in enumerate(cand)})
+            for v in nullspace(mat, len(cand))]
+    w = FramePoint.from_gens(gens, -floor_e, u.window, allow_dependent=True)
+    return FramePoint(w.rows, w.pivots, w.tail_j, w.window, exact=u.exact)
+
+
+def echelon_calls(monkeypatch):
+    """Record the row count of every echelon pass, wherever a zgrass
+    module binds echelon; returns the list the calls append to."""
+    calls = []
+
+    def counting(rows, *args):
+        rows = list(rows)
+        calls.append(len(rows))
+        return echelon(rows, *args)
+
+    for name in ("linalg", "grassmann", "krichever"):
+        mod = importlib.import_module(f"zgrass.{name}")
+        if hasattr(mod, "echelon"):
+            monkeypatch.setattr(mod, "echelon", counting)
+    return calls
 
 
 def evaluate(poly, assign):
@@ -100,7 +138,6 @@ def assemble_even_odd(we, wo, window=DEFAULT_WINDOW):
         jz,
         window,
         allow_dependent=True,
-        exact=we.exact and wo.exact,
     )
 
 

@@ -371,6 +371,24 @@ class TestOptions:
                         "family-square", "--weight", "2", capsys=capsys)
         assert code == 0 and rep["report"]["floor"] == -2
 
+    def test_tail_range(self, tmp_path, capsys):
+        one_row = {"kind": "point", "gens": [{"-1": "1", "0": "2"}],
+                   "window": [-8, 8]}
+        for tail in (-1, 4097, 100000000):
+            # a family's base is read as a point, with the same bound
+            base = {"gens": [{"-1": "1", "0": "2"}], "tail": tail}
+            for obj, cmd in ((dict(one_row, tail=tail), "check"),
+                             (dict(TWO_FAMILY, base=base), "family-square")):
+                code, rep = run(tmp_path, obj, cmd, capsys=capsys)
+                assert code == 2
+                assert rep["error"] == (
+                    "ParseError: 'tail' must be an integer between 0 and "
+                    f"4096, got {tail}")
+        # the complement is one sparse kernel, linear in the tail
+        code, rep = run(tmp_path, dict(one_row, tail=4096), "bilinear",
+                        capsys=capsys)
+        assert code == 0
+
     def test_matrix_size_range(self, tmp_path, capsys):
         def blocks(n):
             """n x n alternating matrix of 2 x 2 blocks [[0, 1], [-1, 0]]."""

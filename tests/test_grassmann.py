@@ -19,12 +19,15 @@ from zgrass.errors import (
 from zgrass.grassmann import FramePoint, is_prym_flow
 from zgrass.series import LaurentSeries, exp_floor, pair_sigma
 from zgrass.symfun import schur, schur_p, tconst, tvar
+from zgrass.tau import times_flow
 
 from frame_oracles import (
     assemble_even_odd,
     coset_reps,
+    echelon_calls,
     exchange_defect,
     flipped,
+    nullspace_complement,
 )
 
 ONE = LaurentSeries.one()
@@ -278,6 +281,22 @@ class TestOrthogonal:
         u = point_a(Fraction(5, 3))
         assert flipped(u.orthogonal()).same_subspace(u)
 
+    def test_polynomial_rows_are_refused(self):
+        # a flow by the universal unit has rows with polynomial
+        # coefficients, and a pivot without a constant term is no unit
+        u = FramePoint.from_gens([series({-1: 1, 1: 2})], 1, (-16, 16))
+        with pytest.raises(ZgrassError, match="not a unit"):
+            u.flow(times_flow(3, -8)).orthogonal()
+
+    def test_one_elimination_over_the_rows(self, monkeypatch):
+        """The complement of a one-row point over tail 2000 is one echelon
+        pass over its one row, not a second pass over 2000 generators."""
+        u = FramePoint.from_gens([series({-1: 1, 0: 2})], 2000)
+        calls = echelon_calls(monkeypatch)
+        perp = u.orthogonal()
+        assert calls == [len(u.rows)]
+        assert perp.tail_j == 1 and perp.charge == -u.charge == 1999
+
 
 class TestIsotropy:
     def test_vacuum_isotropic(self):
@@ -526,6 +545,34 @@ def exact_points(draw):
         return FramePoint.from_gens(gens, tail, (-12, 12))
     except DependentGenerators:
         return FramePoint.from_gens(gens[:1], tail, (-12, 12))
+
+
+@st.composite
+def rational_flows(draw):
+    """A non-monomial unit: 1 at its anchor 0 or -1, and one to three
+    rational terms below the anchor or at positive exponents."""
+    anchor = draw(st.integers(-1, 0))
+    exps = draw(st.lists(st.sampled_from((anchor - 2, anchor - 1, 1, 2, 3)),
+                         min_size=1, max_size=3, unique=True))
+    nonzero = st.fractions(-3, 3, max_denominator=4).filter(bool)
+    return series({anchor: 1, **{e: draw(nonzero) for e in exps}})
+
+
+class TestComplementOracle:
+    @settings(max_examples=150)
+    @given(exact_points(), st.one_of(st.none(), rational_flows()))
+    def test_matches_nullspace_complement(self, u, g):
+        if g is not None:
+            u = u.flow(g)
+        try:
+            want = nullspace_complement(u)
+        except WindowTooSmall:
+            with pytest.raises(WindowTooSmall):
+                u.orthogonal()
+            return
+        got = u.orthogonal()
+        assert (got.rows, got.pivots, got.tail_j, got.window, got.exact) == (
+            want.rows, want.pivots, want.tail_j, want.window, want.exact)
 
 
 class TestProperties:

@@ -31,6 +31,8 @@ from zgrass.krichever import (
 from zgrass.linalg import nullspace
 from zgrass.series import LaurentSeries
 
+from frame_oracles import echelon_calls
+
 W = (-8, 8)
 ONE = LaurentSeries.one()
 
@@ -346,7 +348,8 @@ class TestOrbitProfileOracle:
     @pytest.mark.parametrize("odd_only", [False, True])
     def test_work_count_on_three_row_point(self, monkeypatch, odd_only):
         """One level-nmax stabilizer: (rows + nmax) targets, each shifted by
-        the 2 nmax + 1 window exponents and reduced once."""
+        the 2 nmax + 1 window exponents and reduced once; two echelon
+        passes, the stabilizer's kernel and the profile's overlaps."""
         u = FramePoint.from_gens(
             [
                 LaurentSeries({-3: 1, 1: 2, 2: -1}),
@@ -369,10 +372,12 @@ class TestOrbitProfileOracle:
 
         monkeypatch.setattr(FramePoint, "reduce", counting_reduce)
         monkeypatch.setattr(krichever, "stabilizer", counting_stabilizer)
+        passes = echelon_calls(monkeypatch)
         nmax = 12
         orbit_profile(u, nmax, odd_only)
         assert calls == {"reduce": (3 + nmax) * (2 * nmax + 1),
                          "stabilizer": 1}
+        assert len(passes) == 2
 
 
 class TestQuotientRing:

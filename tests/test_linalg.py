@@ -1,12 +1,17 @@
+import pkgutil
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 import sympy
 from sympy.polys.matrices import DomainMatrix
 
+import zgrass
 from zgrass.grassmann import FramePoint
-from zgrass.linalg import det_field, det_ring, det_unit, nullspace, rref
+from zgrass.linalg import (
+    det_field, det_ring, det_unit, kernel, nullspace, rref,
+)
 from zgrass.series import LaurentSeries
 from zgrass.symfun import TimePolynomial, tconst, tvar
 
@@ -245,6 +250,28 @@ class TestNullspaceOracle:
     def test_matches_dense_oracle(self, drawn):
         rows, ncols = drawn
         assert nullspace(rows, ncols) == dense_nullspace(rows, ncols)
+
+    @settings(max_examples=100)
+    @given(degenerate_matrices(), st.integers(-5, 5))
+    def test_kernel_on_any_keys(self, drawn, shift):
+        # kernel reads its columns by key: columns keyed c + shift give the
+        # dense kernel's vectors, sparse and re-keyed
+        rows, ncols = drawn
+        sparse = [{c + shift: Fraction(x) for c, x in enumerate(r) if x}
+                  for r in rows]
+        want = [{c + shift: x for c, x in enumerate(v) if x}
+                for v in dense_nullspace(rows, ncols)]
+        assert kernel(sparse, range(shift, ncols + shift)) == want
+
+
+def test_only_linalg_names_nullspace():
+    """The kernel has one home: complements, stabilizers and orbit profiles
+    read linalg.kernel or echelon, and no other zgrass module names the
+    dense nullspace."""
+    src = Path(zgrass.__file__).parent
+    assert [info.name for info in pkgutil.iter_modules(zgrass.__path__)
+            if "nullspace" in (src / f"{info.name}.py").read_text()] == [
+                "linalg"]
 
 
 def dividing_det(rows):

@@ -23,20 +23,22 @@ applying the operator as scaled derivatives and reading the constant term
 ("diff"); the two routes agree identically and serve as mutual oracles.
 
 Each call -- a whole suite or one standalone constraint -- builds one
-extraction table for its tau.  Every extraction (lam, e, negate_p) is paired
-at most once and read by each constraint that needs it, so GR0, P0TRIPLE and
-CURVE are sums of products of table entries.  The P0TRIPLE inner sum over e2
-is kept per (lam2, lam3, level) as a convolution of two table rows, so each
-triple costs one short sum over even e1.  The table fills on first use and
-is dropped when the call returns; extraction_operator, like the Schur
-polynomials it reads, is memoized with functools.cache for the life of the
-process, and its shared values are never mutated.  Tau is read in the time
-family "t"; a tau with variables of another family is refused.
+extraction table for its tau.  The table keeps one sparse row per diagram
+and negate_p, {level: value} over the nonzero pairings, filled once and only
+at the levels whose weight |lam| + e tau has; every other extraction pairs
+to zero.  CURVE reads its row at level 0, GR0 is one pass over the first
+row's even levels against the second row, and P0TRIPLE the same pass
+against the convolution of the (lam2, lam3) rows, kept per pair for the
+call.  The table is dropped when the call returns; extraction_operator,
+like the Schur polynomials it reads, is memoized with functools.cache for
+the life of the process, and its shared values are never mutated.  Tau is
+read in the time family "t"; a tau with variables of another family is
+refused.
 
 For a weight-capped tau a constraint is evaluated only when every extraction
 it needs lies within the cap; otherwise it raises UnsoundTruncation (the
-suite runner records such entries as skipped rather than guessing).  Since
-the table fills lazily, nothing beyond a sound constraint's needs is paired.
+suite runner records such entries as skipped rather than guessing).  Tau
+has no terms past its cap, so no row is paired beyond it.
 """
 
 from fractions import Fraction
@@ -59,6 +61,7 @@ GR0 = "GR0"
 P0TRIPLE = "P0TRIPLE"
 CURVE = "CURVE"
 FAMILIES = (GR0, P0TRIPLE, CURVE)
+_ZERO = Fraction(0)
 
 
 @cache
@@ -107,11 +110,12 @@ _SHAPES = {
 def _needed_weight(family, ds):
     """Largest tau weight any term of the constraint touches.
 
-    Slot i extracts at weight |lam_i| + e_i, and e_i is largest when every
-    other slot sits at its lowest level -top_j.
+    Slot i extracts at weight |lam_i| + e_i, and e_i is at most the level
+    total plus the other slots' tops, each of them at level -top_j or above:
+    total + sum of the tops + max over i of (|lam_i| - top_i).
     """
-    tops = sum(d.top for d in ds)
-    return max(d.weight + _SHAPES[family][0] + tops - d.top for d in ds)
+    return (_SHAPES[family][0] + sum([d.top for d in ds])
+            + max([d.weight - d.top for d in ds]))
 
 
 def suite_weight(maxsize):
@@ -127,79 +131,69 @@ def suite_weight(maxsize):
 
 
 class _Table:
-    """Extraction values of one tau, each paired at most once.
+    """The sparse extraction rows of one tau and the convolutions of them.
 
-    values maps (diagram parts, level, negate_p) to the pairing of that
-    extraction operator with tau; tails maps (family, slot, level, parts of
-    the diagrams from that slot on) to the sum over the later slots, so a
-    P0TRIPLE inner sum over e2 is one convolution per (lam2, lam3, level).
-    Both fill on first use, so a capped tau is never paired beyond what a
-    sound constraint asks for.
+    rows maps (diagram parts, negate_p) to {level e: pairing != 0} over
+    levels -top..reach whose weight |lam| + e tau has; tails maps the
+    negate_p and diagram parts of the slots after the first to {level: sum
+    of the products of their rows at levels adding up to it}.  Both fill on
+    first use.
     """
 
-    def __init__(self, tau, route):
+    def __init__(self, tau, route, reach):
         if route not in ("hall", "diff"):
             raise ZgrassError(f"unknown evaluation route {route!r}")
         _pure_family(tau)
-        self.tau = tau
-        self.route = route
-        self.values = {}
-        self.tails = {}
+        self.tau, self.route, self.reach = tau, route, reach
+        self.weights = {sum(k * n for (_, k), n in m) for m in tau.terms}
+        self.rows, self.tails = {}, {}
 
-    def extract(self, parts, e, negate_p):
-        key = (parts, e, negate_p)
-        v = self.values.get(key)
-        if v is None:
-            op = extraction_operator(parts, e, negate_p)
-            if not op:
-                v = Fraction(0)
-            elif self.route == "hall":
-                v = hall(op, self.tau)
-            else:
-                v = apply_tilde(op, self.tau).constant_term()
-            self.values[key] = v
-        return v
+    def row(self, d, negate_p):
+        key = (d.parts, negate_p)
+        row = self.rows.get(key)
+        if row is None:
+            row = self.rows[key] = {}
+            for e in range(-d.top, self.reach + 1):
+                if d.weight + e not in self.weights:
+                    continue
+                op = extraction_operator(d.parts, e, negate_p)
+                v = op and (hall(op, self.tau) if self.route == "hall" else
+                            apply_tilde(op, self.tau).constant_term())
+                if v:
+                    row[e] = v
+        return row
+
+    def tail(self, ds, negate):
+        key = (negate, *[d.parts for d in ds])
+        if key not in self.tails:
+            out = {0: Fraction(1)}
+            for d, n in zip(ds, negate):
+                conv = {}
+                for a, x in out.items():
+                    for b, y in self.row(d, n).items():
+                        conv[a + b] = conv.get(a + b, 0) + x * y
+                out = conv
+            self.tails[key] = out
+        return self.tails[key]
 
 
-def _evaluate(family, ds, table, k=0, rest=None):
-    """Sum of the slot products over the levels of slots k.. that add up to
-    rest, by default the family's level total; ds lie within tau's cap.
-
-    Slot k runs over [-top_k, rest plus the later slots' tops], outside of
-    which some factor vanishes identically; the first slot's level is even
-    and the last slot takes the remaining level.  A zero factor skips every
-    deeper slot.  The sums over the slots after the first are kept in
-    table.tails, so each is formed once per call.
-    """
-    negate = _SHAPES[family][1]
-    if rest is None:
-        rest = _SHAPES[family][0]
-    d = ds[k]
-    if k == len(ds) - 1:
-        return table.extract(d.parts, rest, negate[k])
-    if k:
-        key = (family, k, rest) + tuple(x.parts for x in ds[k:])
-        out = table.tails.get(key)
-        if out is not None:
-            return out
-    lo = -d.top
-    step = 1
-    if k == 0:
-        lo += lo % 2
-        step = 2
-    out = Fraction(0)
-    for e in range(lo, rest + sum(x.top for x in ds[k + 1:]) + 1, step):
-        x = table.extract(d.parts, e, negate[k])
-        if x:
-            out += x * _evaluate(family, ds, table, k + 1, rest - e)
-    if k:
-        table.tails[key] = out
-    return out
+def _evaluate(family, ds, table):
+    """Sum over the first slot's even levels e of its row times the later
+    slots' convolution at the level total minus e; ds lie within tau's cap."""
+    total, negate = _SHAPES[family]
+    first = table.row(ds[0], negate[0])
+    if not first:
+        return _ZERO
+    tail = table.tail(ds[1:], negate[1:])
+    return sum((x * tail[total - e] for e, x in first.items()
+                if e % 2 == 0 and total - e in tail), _ZERO)
 
 
 def _constraint(family, lams, tau, route):
-    table = _Table(tau, route)
+    # slot i's level is at most the level total plus the other slots' tops
     ds = [Partition(lam) for lam in lams]
+    tops = [d.top for d in ds]
+    table = _Table(tau, route, _SHAPES[family][0] + sum(tops) - min(tops))
     _check_sound(tau, _needed_weight(family, ds))
     return _evaluate(family, ds, table)
 
@@ -251,7 +245,9 @@ def constraint_suite(tau, maxsize, route="hall"):
     than the cap; values are never approximated.
     """
     lams = partitions_upto(maxsize)
-    table = _Table(tau, route)
+    # a slot's level is at most the level total plus the other slots' tops,
+    # (arity - 1) * maxsize here: suite_weight less the one-row diagram
+    table = _Table(tau, route, suite_weight(maxsize) - maxsize)
     out = []
     for family in FAMILIES:
         arity = len(_SHAPES[family][1])

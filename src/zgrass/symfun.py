@@ -479,21 +479,22 @@ def apply_tilde(op, target):
     """Apply op(d~) to target, where d~_k = (1/k) d/dt_k per variable of op.
 
     The operator polynomial must be exact; the result cap reflects the
-    precision actually lost differentiating the target.
+    precision actually lost differentiating the target.  The partial
+    derivatives of the target are shared, keyed by the variables so far.
     """
     if op.maxweight is not None:
         raise ZgrassError("operator polynomial must be exact")
     out = TimePolynomial() if target.maxweight is None else TimePolynomial(
         {}, target.maxweight
     )
+    partials = {(): target}
     for m, c in op.terms.items():
-        cur = target
-        scale = c
-        for (fam, k), mult in m:
-            for _ in range(mult):
-                cur = cur.differentiate(fam, k)
-            scale *= Fraction(1, k ** mult)
-        out = out + cur * scale
+        key = ()
+        for var in (v for v, mult in m for _ in range(mult)):
+            if key + (var,) not in partials:
+                partials[key + (var,)] = partials[key].differentiate(*var)
+            key += (var,)
+        out = out + partials[key] * (c / prod(k ** n for (_, k), n in m))
     return out
 
 

@@ -2,13 +2,14 @@
 
 import json
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from zgrass import FramePoint, LaurentSeries, hierarchy
-from zgrass.errors import DependentGenerators, UnsoundTruncation, ZgrassError
+from zgrass.errors import UnsoundTruncation, ZgrassError
 from zgrass.hierarchy import (
     CURVE,
     GR0,
@@ -21,7 +22,7 @@ from zgrass.hierarchy import (
     suite_verdict,
     suite_weight,
 )
-from zgrass.symfun import Partition, hall, schur, tconst, tvar
+from zgrass.symfun import Partition, hall, partitions_upto, schur, tconst, tvar
 from zgrass.tau import tau_function
 
 DATA = Path(__file__).parent / "data"
@@ -315,8 +316,25 @@ class TestSuite:
                             counting_extraction)
         monkeypatch.setattr(hierarchy, "hall", counting_hall)
         constraint_suite(three_row_tau(), 4)
-        assert len(ops) == len(set(ops)) == 308
-        assert len(pairs) == len({(id(a), id(b)) for a, b in pairs}) == 264
+        assert len(ops) == len(set(ops)) == 244
+        assert len(pairs) == len({(id(a), id(b)) for a, b in pairs}) == 208
+
+    @pytest.mark.parametrize("tau", [
+        three_row_tau(), frame_tau([{-1: 1, 0: 2}], 1)],
+        ids=["three_row", "one_row"])
+    def test_pairs_only_at_tau_weights(self, tau, monkeypatch):
+        # an extraction is homogeneous, so pairing it at a weight where tau
+        # has no terms can only give zero
+        weights = {sum(k * n for (_, k), n in m) for m in tau.terms}
+        paired = []
+
+        def recording_hall(op, t):
+            paired.append(op.weight())
+            return hall(op, t)
+
+        monkeypatch.setattr(hierarchy, "hall", recording_hall)
+        constraint_suite(tau, 4)
+        assert paired and set(paired) <= weights
 
 
 class TestSuiteCharacterization:
@@ -342,27 +360,81 @@ class TestSuiteCharacterization:
         assert sum(r[4] == "unsound" for r in rows) == 321
 
     def test_routes_agree_on_whole_suite(self):
-        t = frame_tau([{-2: 1, 0: 3, 3: 1}, {-1: 1, 2: 1}], 2)
-        hall_rows = constraint_suite(t, 3)
-        assert any(e.status == "nonzero" for e in hall_rows)
-        assert constraint_suite(t, 3, route="diff") == hall_rows
+        for tau, maxsize in (
+                (frame_tau([{-2: 1, 0: 3, 3: 1}, {-1: 1, 2: 1}], 2), 3),
+                (three_row_tau(), 4)):
+            hall_rows = constraint_suite(tau, maxsize)
+            assert any(e.status == "nonzero" for e in hall_rows)
+            assert constraint_suite(tau, maxsize, route="diff") == hall_rows
+
+
+def dense_suite(tau, maxsize):
+    """The dense-level evaluator that the sparse rows replaced, kept as the
+    oracle of constraint_suite: every slot walks its whole level range,
+    extracts at every level whether or not tau has that weight, and each
+    extraction is Hall-paired on its first use."""
+    shapes = hierarchy._SHAPES
+    values, tails = {}, {}
+
+    def extract(parts, e, negate_p):
+        key = (parts, e, negate_p)
+        if key not in values:
+            op = extraction_operator(parts, e, negate_p)
+            values[key] = hall(op, tau) if op else Fraction(0)
+        return values[key]
+
+    def evaluate(family, ds, k=0, rest=None):
+        negate = shapes[family][1]
+        if rest is None:
+            rest = shapes[family][0]
+        d = ds[k]
+        if k == len(ds) - 1:
+            return extract(d.parts, rest, negate[k])
+        key = (family, k, rest) + tuple(x.parts for x in ds[k:])
+        if k and key in tails:
+            return tails[key]
+        lo, step = -d.top, 1
+        if k == 0:
+            lo += lo % 2
+            step = 2
+        out = Fraction(0)
+        for e in range(lo, rest + sum(x.top for x in ds[k + 1:]) + 1, step):
+            x = extract(d.parts, e, negate[k])
+            if x:
+                out += x * evaluate(family, ds, k + 1, rest - e)
+        if k:
+            tails[key] = out
+        return out
+
+    lams = partitions_upto(maxsize)
+    out = []
+    for family in (GR0, P0TRIPLE, CURVE):
+        for ds in product(lams, repeat=len(shapes[family][1])):
+            tops = sum(d.top for d in ds)
+            needed = max(d.weight + shapes[family][0] + tops - d.top
+                         for d in ds)
+            v = (None if tau.maxweight is not None and needed > tau.maxweight
+                 else evaluate(family, ds))
+            status = ("unsound" if v is None
+                      else "zero" if v == 0 else "nonzero")
+            out.append(hierarchy.SuiteEntry(family, ds, v, needed, status))
+    return out
 
 
 @st.composite
-def small_frames(draw):
-    """1-2 rows over tail 1-3, every exponent at most 3."""
+def small_frames(draw, max_rows=2):
+    """1 to max_rows rows with distinct pivots over tail 1-3, every
+    exponent at most 3."""
     tail = draw(st.integers(1, 3))
+    pivots = draw(st.lists(st.integers(-tail, 0), min_size=1,
+                           max_size=min(max_rows, tail + 1), unique=True))
     gens = []
-    for _ in range(draw(st.integers(1, 2))):
-        lo = draw(st.integers(-tail, 0))
+    for lo in pivots:
         coeffs = {e: draw(st.integers(-3, 3)) for e in range(lo + 1, 4)
                   if draw(st.booleans())}
         coeffs[lo] = draw(st.integers(1, 3))
         gens.append(LaurentSeries(coeffs))
-    try:
-        return FramePoint.from_gens(gens, tail, (-12, 12))
-    except DependentGenerators:
-        return FramePoint.from_gens(gens[:1], tail, (-12, 12))
+    return FramePoint.from_gens(gens, tail, (-12, 12))
 
 
 @settings(max_examples=12, deadline=5000)
@@ -370,3 +442,13 @@ def small_frames(draw):
 def test_routes_agree_on_random_frames(u):
     t = tau_function(u)
     assert constraint_suite(t, 2, route="diff") == constraint_suite(t, 2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_frames(max_rows=3), st.integers(0, 3),
+       st.one_of(st.none(), st.integers(-1, 11)))
+def test_suite_matches_dense_oracle(u, maxsize, cap):
+    t = tau_function(u)
+    if cap is not None:
+        t = t.with_cap(cap)
+    assert constraint_suite(t, maxsize) == dense_suite(t, maxsize)

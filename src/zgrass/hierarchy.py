@@ -1,4 +1,4 @@
-"""Constraint families cutting out the invariant loci in tau coordinates.
+"""Constraint families in tau coordinates, meant to cut out invariant loci.
 
 Every constraint is a finite multilinear functional on the coefficients of a
 tau polynomial, built from one extraction shape: pair tau against the
@@ -10,35 +10,36 @@ of weight |lam| + e, so pairing extracts a single weight component of tau.
 Three families:
 
   GR0    quadratic, indexed by two diagrams: couples extraction levels
-         e and 1 - e over even e.  Zero on sign-invariant points.
+         e and 1 - e over even e.  Stated to vanish on sign-invariant
+         points.
   P0TRIPLE  cubic, three diagrams: levels summing to 2, the first even,
          with the negation placed on the strip factor in the first two
          slots and on the p factor in the third.
-  CURVE  linear, one diagram: the diagonal level-0 extraction.  Zero on
-         multiplication-closed (ring) points.
+  CURVE  linear, one diagram: the diagonal level-0 extraction.  Stated to
+         vanish on multiplication-closed (ring) points.
 
-Values are exact rationals.  Every functional can be evaluated through the
-orthogonality pairing of the monomial basis ("hall") or by literally
-applying the operator as scaled derivatives and reading the constant term
-("diff"); the two routes agree identically and serve as mutual oracles.
+The <3,4,5> semigroup point (window +-24, tau = t1^2/2 + t2) is a
+sign-invariant ring point, yet GR0((1,1),(1)) = 1 and CURVE((1,1)) = -1 on
+both routes, so it contradicts both stated loci.  Which side is wrong is
+open: see "The hierarchy families against the loci they claim" in ROADMAP.md.
 
-Each call -- a whole suite or one standalone constraint -- builds one
-extraction table for its tau.  The table keeps one sparse row per diagram
-and negate_p, {level: value} over the nonzero pairings, filled once and only
-at the levels whose weight |lam| + e tau has; every other extraction pairs
-to zero.  CURVE reads its row at level 0, GR0 is one pass over the first
-row's even levels against the second row, and P0TRIPLE the same pass
-against the convolution of the (lam2, lam3) rows, kept per pair for the
-call.  The table is dropped when the call returns; extraction_operator,
-like the Schur polynomials it reads, is memoized with functools.cache for
-the life of the process, and its shared values are never mutated.  Tau is
-read in the time family "t"; a tau with variables of another family is
-refused.
+Values are exact rationals, through the orthogonality pairing of the
+monomial basis ("hall") or by applying the operator as scaled derivatives
+and reading the constant term ("diff"); the two routes agree identically
+and serve as mutual oracles.
 
-For a weight-capped tau a constraint is evaluated only when every extraction
+Each call -- a whole suite or one standalone constraint -- reads tau through
+one row reader (_rows), which pairs an extraction at most once and only at
+a weight tau has, and evaluates through one sweep (_values).  The rows are
+dropped when the call returns; extraction_operator, like the Schur
+polynomials it reads, is memoized with functools.cache for the life of the
+process, and its shared values are never mutated.  Tau is read in the time
+family "t"; a tau with variables of another family is refused.
+
+For a weight-capped tau a constraint has a value only when every extraction
 it needs lies within the cap; otherwise it raises UnsoundTruncation (the
-suite runner records such entries as skipped rather than guessing).  Tau
-has no terms past its cap, so no row is paired beyond it.
+suite records such entries as unsound, with no value, rather than guessing).
+Tau has no terms past its cap, so no row is paired beyond it.
 """
 
 from fractions import Fraction
@@ -83,21 +84,6 @@ def extraction_operator(lam, e, negate_p=True):
     return acc
 
 
-def _pure_family(tau):
-    for m in tau.terms:
-        for (f, _), _ in m:
-            if f != "t":
-                raise ZgrassError(
-                    f"tau mixes variable families ({f!r} vs 't')")
-
-
-def _check_sound(tau, needed):
-    if tau.maxweight is not None and needed > tau.maxweight:
-        raise UnsoundTruncation(
-            f"constraint needs tau to weight {needed}, cap is {tau.maxweight}"
-        )
-
-
 # family -> (level total, negate_p of each diagram's slot); the arity of a
 # family is its number of slots
 _SHAPES = {
@@ -130,72 +116,78 @@ def suite_weight(maxsize):
                for f in FAMILIES)
 
 
-class _Table:
-    """The sparse extraction rows of one tau and the convolutions of them.
+def _rows(tau, route, reach):
+    """row(d, negate_p) -> {level e: pairing != 0} over the levels
+    -top..reach whose weight |lam| + e tau has, filled on first use.  The
+    route and tau's variable family are checked before any pairing."""
+    if route not in ("hall", "diff"):
+        raise ZgrassError(f"unknown evaluation route {route!r}")
+    for m in tau.terms:
+        for (f, _), _ in m:
+            if f != "t":
+                raise ZgrassError(
+                    f"tau mixes variable families ({f!r} vs 't')")
+    weights = {sum(k * n for (_, k), n in m) for m in tau.terms}
+    rows = {}
 
-    rows maps (diagram parts, negate_p) to {level e: pairing != 0} over
-    levels -top..reach whose weight |lam| + e tau has; tails maps the
-    negate_p and diagram parts of the slots after the first to {level: sum
-    of the products of their rows at levels adding up to it}.  Both fill on
-    first use.
-    """
-
-    def __init__(self, tau, route, reach):
-        if route not in ("hall", "diff"):
-            raise ZgrassError(f"unknown evaluation route {route!r}")
-        _pure_family(tau)
-        self.tau, self.route, self.reach = tau, route, reach
-        self.weights = {sum(k * n for (_, k), n in m) for m in tau.terms}
-        self.rows, self.tails = {}, {}
-
-    def row(self, d, negate_p):
-        key = (d.parts, negate_p)
-        row = self.rows.get(key)
-        if row is None:
-            row = self.rows[key] = {}
-            for e in range(-d.top, self.reach + 1):
-                if d.weight + e not in self.weights:
+    def row(d, negate_p):
+        out = rows.get((d.parts, negate_p))
+        if out is None:
+            out = rows[d.parts, negate_p] = {}
+            for e in range(-d.top, reach + 1):
+                if d.weight + e not in weights:
                     continue
                 op = extraction_operator(d.parts, e, negate_p)
-                v = op and (hall(op, self.tau) if self.route == "hall" else
-                            apply_tilde(op, self.tau).constant_term())
+                v = op and (hall(op, tau) if route == "hall" else
+                            apply_tilde(op, tau).constant_term())
                 if v:
-                    row[e] = v
-        return row
+                    out[e] = v
+        return out
 
-    def tail(self, ds, negate):
-        key = (negate, *[d.parts for d in ds])
-        if key not in self.tails:
-            out = {0: Fraction(1)}
-            for d, n in zip(ds, negate):
-                conv = {}
-                for a, x in out.items():
-                    for b, y in self.row(d, n).items():
-                        conv[a + b] = conv.get(a + b, 0) + x * y
-                out = conv
-            self.tails[key] = out
-        return self.tails[key]
+    return row
 
 
-def _evaluate(family, ds, table):
-    """Sum over the first slot's even levels e of its row times the later
-    slots' convolution at the level total minus e; ds lie within tau's cap."""
+def _values(family, slots, row):
+    """The family's values over product(*slots), in that order.
+
+    The value is the sum over the first diagram's even levels e of its row
+    times the convolution of the later slots' rows at the level total minus
+    e; that convolution is taken once per combination of later diagrams,
+    and only once some first row has an even level.
+    """
     total, negate = _SHAPES[family]
-    first = table.row(ds[0], negate[0])
-    if not first:
-        return _ZERO
-    tail = table.tail(ds[1:], negate[1:])
-    return sum((x * tail[total - e] for e, x in first.items()
-                if e % 2 == 0 and total - e in tail), _ZERO)
+
+    def convolve(ds):
+        out = {0: Fraction(1)}
+        for d, n in zip(ds, negate[1:]):
+            nxt = {}
+            for a, x in out.items():
+                for b, y in row(d, n).items():
+                    nxt[a + b] = nxt.get(a + b, 0) + x * y
+            out = nxt
+        return out
+
+    rest, convs = list(product(*slots[1:])), None
+    for d in slots[0]:
+        evens = [(total - e, x) for e, x in row(d, negate[0]).items()
+                 if e % 2 == 0]
+        if evens and convs is None:
+            convs = [convolve(ds) for ds in rest]
+        # no even level: every value is the empty sum, 0, and reads no conv
+        for conv in convs if evens else rest:
+            yield sum((x * conv[k] for k, x in evens if k in conv), _ZERO)
 
 
 def _constraint(family, lams, tau, route):
     # slot i's level is at most the level total plus the other slots' tops
     ds = [Partition(lam) for lam in lams]
     tops = [d.top for d in ds]
-    table = _Table(tau, route, _SHAPES[family][0] + sum(tops) - min(tops))
-    _check_sound(tau, _needed_weight(family, ds))
-    return _evaluate(family, ds, table)
+    row = _rows(tau, route, _SHAPES[family][0] + sum(tops) - min(tops))
+    needed = _needed_weight(family, ds)
+    if tau.maxweight is not None and needed > tau.maxweight:
+        raise UnsoundTruncation(
+            f"constraint needs tau to weight {needed}, cap is {tau.maxweight}")
+    return next(_values(family, [[d] for d in ds], row))
 
 
 def gr0_constraint(lam1, lam2, tau, route="hall"):
@@ -221,8 +213,9 @@ def p0_triple_constraint(lam1, lam2, lam3, tau, route="hall"):
 def curve_constraint(lam, tau, route="hall"):
     """Linear constraint of one diagram: the diagonal level-0 extraction.
 
-    Zero for every diagram exactly when the point's subspace is closed under
-    multiplication by its own ring of functions.
+    Stated to vanish for every diagram exactly on the points whose subspace
+    is closed under multiplication by its own ring of functions; the ring
+    point <3,4,5> contradicts this (module docstring).
     """
     return _constraint(CURVE, (lam,), tau, route)
 
@@ -245,18 +238,15 @@ def constraint_suite(tau, maxsize, route="hall"):
     than the cap; values are never approximated.
     """
     lams = partitions_upto(maxsize)
-    # a slot's level is at most the level total plus the other slots' tops,
-    # (arity - 1) * maxsize here: suite_weight less the one-row diagram
-    table = _Table(tau, route, suite_weight(maxsize) - maxsize)
+    # levels reach the total plus the other slots' tops: suite_weight - maxsize
+    row = _rows(tau, route, suite_weight(maxsize) - maxsize)
     out = []
     for family in FAMILIES:
-        arity = len(_SHAPES[family][1])
-        for diagrams in product(lams, repeat=arity):
+        slots = [lams] * len(_SHAPES[family][1])
+        for diagrams, v in zip(product(*slots), _values(family, slots, row)):
             needed = _needed_weight(family, diagrams)
             if tau.maxweight is not None and needed > tau.maxweight:
                 v = None
-            else:
-                v = _evaluate(family, diagrams, table)
             status = ("unsound" if v is None
                       else "zero" if v == 0 else "nonzero")
             out.append(SuiteEntry(family, diagrams, v, needed, status))

@@ -14,9 +14,9 @@ p_n of exp(sum_k t_k z^k) are the one-row chi_(n).  Beside them are the
 strip sums D_{lam,alpha}, the Hall pairing in these coordinates, and the
 scaled-derivative action f(d~) with d~_k = (1/k) d/dt_k; only tvar and
 schur_p take another family.  partitions, schur_p, schur, strip_sum and the
-helpers _character and _mono_weight are memoized with functools.cache for
-the life of the process: their values are shared and never mutated in
-place.
+helpers _character, _mono_weight and _hall_norm are memoized with
+functools.cache for the life of the process: their values are shared and
+never mutated in place.
 """
 
 from collections import Counter
@@ -449,6 +449,7 @@ def strip_sum(lam, alpha):
 # -- Hall pairing and scaled derivatives --------------------------------------
 
 
+@cache
 def _hall_norm(mono):
     v = Fraction(1)
     for (_, k), mult in mono:

@@ -22,6 +22,7 @@ from zgrass.hierarchy import (
     suite_verdict,
     suite_weight,
 )
+from zgrass.krichever import is_ring_point, span_closure
 from zgrass.symfun import Partition, hall, partitions_upto, schur, tconst, tvar
 from zgrass.tau import tau_function
 
@@ -182,6 +183,27 @@ class TestCurve:
         assert curve_constraint((), pencil_tau() * 5) == 5
 
 
+class TestStatedLoci:
+    """<3,4,5> is a sign-invariant ring point, yet GR0 and CURVE do not
+    vanish on it, so the loci the module docstring names are claims this
+    point contradicts.  Both routes agree, so the values are pinned as they
+    stand until the families are settled."""
+
+    @pytest.fixture(scope="class")
+    def tau(self):
+        u = span_closure([LaurentSeries({-g: 1}) for g in (3, 4, 5)],
+                         (-24, 24))
+        assert u.is_sigma_invariant() and is_ring_point(u)
+        t = tau_function(u)
+        assert t == schur((2,))
+        return t
+
+    @pytest.mark.parametrize("route", ["hall", "diff"])
+    def test_gr0_and_curve_do_not_vanish(self, tau, route):
+        assert gr0_constraint((1, 1), (1,), tau, route=route) == 1
+        assert curve_constraint((1, 1), tau, route=route) == -1
+
+
 class TestDualRoutes:
     """hall pairing vs applying the operator as scaled derivatives."""
 
@@ -324,7 +346,8 @@ class TestSuite:
         ids=["three_row", "one_row"])
     def test_pairs_only_at_tau_weights(self, tau, monkeypatch):
         # an extraction is homogeneous, so pairing it at a weight where tau
-        # has no terms can only give zero
+        # has no terms can only give zero; the standalone constraints read
+        # tau through the same rows
         weights = {sum(k * n for (_, k), n in m) for m in tau.terms}
         paired = []
 
@@ -335,6 +358,12 @@ class TestSuite:
         monkeypatch.setattr(hierarchy, "hall", recording_hall)
         constraint_suite(tau, 4)
         assert paired and set(paired) <= weights
+        for call in (lambda: gr0_constraint((2, 1), (1,), tau),
+                     lambda: p0_triple_constraint((1,), (2,), (1, 1), tau),
+                     lambda: curve_constraint((2, 1), tau)):
+            paired.clear()
+            call()
+            assert paired and set(paired) <= weights
 
 
 class TestSuiteCharacterization:
@@ -442,6 +471,27 @@ def small_frames(draw, max_rows=2):
 def test_routes_agree_on_random_frames(u):
     t = tau_function(u)
     assert constraint_suite(t, 2, route="diff") == constraint_suite(t, 2)
+
+
+STANDALONE = {GR0: gr0_constraint, P0TRIPLE: p0_triple_constraint,
+              CURVE: curve_constraint}
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_frames(max_rows=3), st.one_of(st.none(), st.integers(-1, 11)))
+def test_suite_entries_match_standalone(u, cap):
+    """Each suite entry is its standalone constraint: the value where the
+    entry is sound, UnsoundTruncation where it is not."""
+    t = tau_function(u)
+    if cap is not None:
+        t = t.with_cap(cap)
+    for e in constraint_suite(t, 2):
+        fn = STANDALONE[e.family]
+        if e.status == "unsound":
+            with pytest.raises(UnsoundTruncation):
+                fn(*e.diagrams, t)
+        else:
+            assert fn(*e.diagrams, t) == e.value
 
 
 @settings(max_examples=30, deadline=None)

@@ -233,7 +233,7 @@ def cmd_family_square(obj, args):
     flows, floor, base = family_from_json(obj)
     weight = args.weight
     window = (floor, -floor)
-    start = (FramePoint((), (), 0, window) if base is None
+    start = (FramePoint.vacuum(window) if base is None
              else point_from_json(base, window))
     g = flow_exponential(flows, floor)
     pi0 = start.flow(g).plucker(())

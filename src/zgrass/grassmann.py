@@ -194,14 +194,12 @@ class FramePoint:
         return all(e <= -(self.tail_j + 1) for e in r.coeffs)
 
     def same_subspace(self, other):
-        if self.charge != other.charge:
-            return False
-        # each side's basis down to the deeper tail lies in the other side
-        return all(
-            b.contains(r)
-            for a, b in ((self, other), (other, self))
-            for r in a.basis(len(a.rows) + max(0, b.tail_j - a.tail_j))
-        )
+        """Whether two exact frames span one subspace: being canonical, they
+        do exactly when their rows, pivots and tails agree."""
+        if not (self.exact and other.exact):
+            raise ZgrassError("subspace comparison needs exact frames")
+        return (self.rows, self.pivots, self.tail_j) == (
+            other.rows, other.pivots, other.tail_j)
 
     # -- minors ---------------------------------------------------------------
 

@@ -36,10 +36,11 @@ polynomials it reads, is memoized with functools.cache for the life of the
 process, and its shared values are never mutated.  Tau is read in the time
 family "t"; a tau with variables of another family is refused.
 
-For a weight-capped tau a constraint has a value only when every extraction
-it needs lies within the cap; otherwise it raises UnsoundTruncation (the
-suite records such entries as unsound, with no value, rather than guessing).
-Tau has no terms past its cap, so no row is paired beyond it.
+For a weight-capped tau the sweep decides each entry: it has a value only
+when every extraction it needs lies within the cap, and an unsound entry
+reads no row (a standalone constraint raises UnsoundTruncation; the suite
+records the entry as unsound, with no value, rather than guessing).  Tau has
+no terms past its cap, so no row is paired beyond it.
 """
 
 from fractions import Fraction
@@ -93,27 +94,15 @@ _SHAPES = {
 }
 
 
-def _needed_weight(family, ds):
-    """Largest tau weight any term of the constraint touches.
-
-    Slot i extracts at weight |lam_i| + e_i, and e_i is at most the level
-    total plus the other slots' tops, each of them at level -top_j or above:
-    total + sum of the tops + max over i of (|lam_i| - top_i).
-    """
-    return (_SHAPES[family][0] + sum([d.top for d in ds])
-            + max([d.weight - d.top for d in ds]))
-
-
 def suite_weight(maxsize):
     """Largest tau weight any entry of constraint_suite(tau, maxsize) reads.
 
-    _needed_weight grows with every slot's weight and top, so each family
-    peaks with the one-row diagram (maxsize) in every slot, at
-    arity * maxsize + level total; P0TRIPLE's 3 * maxsize + 2 is the largest.
+    An entry's needed weight grows with every slot's weight and top, so each
+    family peaks with the one-row diagram (maxsize) in every slot, at
+    total + arity * maxsize; P0TRIPLE's 3 * maxsize + 2 is the largest.
     """
-    row = Partition((maxsize,))
-    return max(_needed_weight(f, (row,) * len(_SHAPES[f][1]))
-               for f in FAMILIES)
+    return max(total + len(negate) * maxsize
+               for total, negate in _SHAPES.values())
 
 
 def _rows(tau, route, reach):
@@ -147,13 +136,15 @@ def _rows(tau, route, reach):
     return row
 
 
-def _values(family, slots, row):
-    """The family's values over product(*slots), in that order.
+def _values(family, slots, row, cap):
+    """(diagrams, value, needed) over product(*slots), in that order.
 
-    The value is the sum over the first diagram's even levels e of its row
-    times the convolution of the later slots' rows at the level total minus
-    e; that convolution is taken once per combination of later diagrams,
-    and only once some first row has an even level.
+    needed = total + sum of the tops + max over i of (|lam_i| - top_i), as
+    slot i extracts at weight |lam_i| + e_i and e_i is at most the total
+    plus the other slots' tops.  Past the cap the value is None and reads no
+    row; otherwise it is the sum over the first diagram's even levels e of
+    its row times the later slots' convolution at total - e.  A row or a
+    convolution is read at the first sound entry that needs it.
     """
     total, negate = _SHAPES[family]
 
@@ -167,15 +158,25 @@ def _values(family, slots, row):
             out = nxt
         return out
 
-    rest, convs = list(product(*slots[1:])), None
+    # weight >= top, so 0 stands in for the max over no later slot
+    rest = [(ds, total + sum([d.top for d in ds]),
+             max([d.weight - d.top for d in ds], default=0))
+            for ds in product(*slots[1:])]
+    convs = {}
     for d in slots[0]:
-        evens = [(total - e, x) for e, x in row(d, negate[0]).items()
-                 if e % 2 == 0]
-        if evens and convs is None:
-            convs = [convolve(ds) for ds in rest]
-        # no even level: every value is the empty sum, 0, and reads no conv
-        for conv in convs if evens else rest:
-            yield sum((x * conv[k] for k, x in evens if k in conv), _ZERO)
+        evens = None
+        for i, (ds, base, excess) in enumerate(rest):
+            needed = base + d.top + max(d.weight - d.top, excess)
+            if cap is not None and needed > cap:
+                yield (d, *ds), None, needed
+                continue
+            if evens is None:
+                evens = [(total - e, x) for e, x in row(d, negate[0]).items()
+                         if e % 2 == 0]
+            if evens and i not in convs:
+                convs[i] = convolve(ds)
+            yield (d, *ds), sum((x * convs[i][k] for k, x in evens
+                                 if k in convs[i]), _ZERO), needed
 
 
 def _constraint(family, lams, tau, route):
@@ -183,11 +184,11 @@ def _constraint(family, lams, tau, route):
     ds = [Partition(lam) for lam in lams]
     tops = [d.top for d in ds]
     row = _rows(tau, route, _SHAPES[family][0] + sum(tops) - min(tops))
-    needed = _needed_weight(family, ds)
-    if tau.maxweight is not None and needed > tau.maxweight:
+    _, v, needed = next(_values(family, [[d] for d in ds], row, tau.maxweight))
+    if v is None:
         raise UnsoundTruncation(
             f"constraint needs tau to weight {needed}, cap is {tau.maxweight}")
-    return next(_values(family, [[d] for d in ds], row))
+    return v
 
 
 def gr0_constraint(lam1, lam2, tau, route="hall"):
@@ -243,10 +244,8 @@ def constraint_suite(tau, maxsize, route="hall"):
     out = []
     for family in FAMILIES:
         slots = [lams] * len(_SHAPES[family][1])
-        for diagrams, v in zip(product(*slots), _values(family, slots, row)):
-            needed = _needed_weight(family, diagrams)
-            if tau.maxweight is not None and needed > tau.maxweight:
-                v = None
+        for diagrams, v, needed in _values(family, slots, row,
+                                           tau.maxweight):
             status = ("unsound" if v is None
                       else "zero" if v == 0 else "nonzero")
             out.append(SuiteEntry(family, diagrams, v, needed, status))

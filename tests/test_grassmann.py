@@ -139,6 +139,16 @@ class TestMembership:
         assert b.same_subspace(a)
         assert not a.same_subspace(FramePoint.vacuum())
 
+    def test_same_subspace_refuses_approximate_frames(self):
+        # refused whatever the charges, so a False is always a certificate
+        moved = FramePoint.vacuum().flow(series({0: 1, 1: 2}))
+        lower = FramePoint.from_gens([mono(-1)], 3)
+        for other in (FramePoint.vacuum(), lower):
+            with pytest.raises(ZgrassError, match="exact frames"):
+                moved.same_subspace(other)
+            with pytest.raises(ZgrassError, match="exact frames"):
+                other.same_subspace(moved)
+
 
 class TestPlucker:
     def test_vacuum_coordinates(self):
@@ -579,6 +589,16 @@ class TestProperties:
     @given(exact_points())
     def test_biduality(self, u):
         assert u.orthogonal().orthogonal().same_subspace(u)
+
+    @given(exact_points(), st.integers(-3, 3))
+    def test_exact_results_are_canonical(self, u, n):
+        # same_subspace compares exact frames field by field, so an exact
+        # frame a method returns is the one from_gens builds from its rows
+        for w in (u.orthogonal(), u.flow(mono(n))):
+            c = FramePoint.from_gens(w.rows, w.tail_j, w.window,
+                                     allow_dependent=True)
+            assert (w.rows, w.pivots, w.tail_j, w.window, w.exact) == (
+                c.rows, c.pivots, c.tail_j, c.window, c.exact)
 
     @given(exact_points())
     def test_complement_charge(self, u):

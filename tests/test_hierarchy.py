@@ -54,7 +54,13 @@ def three_row_tau():
 
 
 def needed_weight(family, *lams):
-    return hierarchy._needed_weight(family, [Partition(x) for x in lams])
+    """The entry's needed weight as the suite reports it; a tau capped below
+    weight 0 keeps the suite from pairing anything."""
+    ds = tuple(Partition(x) for x in lams)
+    maxsize = max(d.weight for d in ds)
+    entries = constraint_suite(tconst(1).with_cap(-1), maxsize)
+    return next(e.needed for e in entries
+                if e.family == family and e.diagrams == ds)
 
 
 def suite_rows(entries):
@@ -304,13 +310,16 @@ class TestSuite:
                 else:
                     assert c == e
 
-    @pytest.mark.parametrize("maxsize", range(5))
+    @pytest.mark.parametrize("maxsize", range(6))
     def test_suite_weight_is_largest_needed(self, maxsize):
-        # needed reads the diagrams only, and a tau capped below weight 0
-        # keeps the suite from pairing anything
-        entries = constraint_suite(tconst(1).with_cap(-1), maxsize)
-        assert all(e.status == "unsound" for e in entries)
-        assert suite_weight(maxsize) == max(e.needed for e in entries)
+        # needed reads the diagrams only: every entry of the exact tau 1 is
+        # sound, and a tau capped below weight 0 pairs nothing
+        exact = constraint_suite(tconst(1), maxsize)
+        capped = constraint_suite(tconst(1).with_cap(-1), maxsize)
+        assert all(e.status != "unsound" for e in exact)
+        assert all(e.status == "unsound" for e in capped)
+        assert [e.needed for e in capped] == [e.needed for e in exact]
+        assert suite_weight(maxsize) == max(e.needed for e in exact)
         assert suite_weight(maxsize) == 3 * maxsize + 2
 
     def test_suite_weight_is_tight(self):
@@ -340,6 +349,26 @@ class TestSuite:
         constraint_suite(three_row_tau(), 4)
         assert len(ops) == len(set(ops)) == 244
         assert len(pairs) == len({(id(a), id(b)) for a, b in pairs}) == 208
+
+    @pytest.mark.parametrize("cap, ops, pairs", [(5, 84, 61), (2, 9, 8)])
+    def test_unsound_entries_read_no_rows(self, monkeypatch, cap, ops,
+                                          pairs):
+        # a capped tau pairs only the rows some sound entry needs
+        made, paired = [], []
+
+        def counting_extraction(*args):
+            made.append(args)
+            return extraction_operator(*args)
+
+        def counting_hall(op, tau):
+            paired.append(op)
+            return hall(op, tau)
+
+        monkeypatch.setattr(hierarchy, "extraction_operator",
+                            counting_extraction)
+        monkeypatch.setattr(hierarchy, "hall", counting_hall)
+        constraint_suite(three_row_tau().with_cap(cap), 4)
+        assert (len(made), len(paired)) == (ops, pairs)
 
     @pytest.mark.parametrize("tau", [
         three_row_tau(), frame_tau([{-1: 1, 0: 2}], 1)],

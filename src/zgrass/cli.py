@@ -283,7 +283,10 @@ def cmd_family_square(obj, args):
         checks.append(_skip("square-root-roundtrip",
                             f"{cause}; no square-root normal form exists"))
         return rep, checks
-    diff = nf.root * nf.root * nf.scale - odd_part(tau)
+    # the difference is known through the weight, so the root is squared
+    # only that far
+    root = nf.root.with_cap(weight)
+    diff = root * root * nf.scale - odd_part(tau)
     rep["root"] = nf.root
     rep["scale"] = nf.scale
     checks.append(_check(

@@ -19,7 +19,9 @@ declared pivots are bookkeeping rather than valuations, and a minor refuses
 to sample below the depth at which the stored rows stop being true, or past
 the rows the window let the flow write out.  Minors, Baker rows and
 stabilizer conditions all read FramePoint.basis: the explicit rows, then the
-tail monomials z^-(tail_j+1), z^-(tail_j+2), ....
+tail monomials z^-(tail_j+1), z^-(tail_j+2), ....  FramePoint.plucker is the
+one coordinate, a minor of the basis; FramePoint.pluckers reads many off one
+reduction of the rows.
 
 The window (lo, hi) is an inclusive exponent range; its floor decides how
 much of a tail a flow writes out as explicit rows, and computations that
@@ -44,7 +46,7 @@ from .errors import (
     ZeroInput,
     ZgrassError,
 )
-from .linalg import det_ring, det_unit, echelon, kernel
+from .linalg import det_ring, det_unit, echelon, kernel, unit_reduce
 from .series import LaurentSeries, pair_sigma
 from .symfun import Partition
 
@@ -63,6 +65,14 @@ def _is_unit_one(c):
         return c == 1
     terms = getattr(c, "terms", None)
     return terms == {(): Fraction(1)}
+
+
+def _det(mat):
+    """det_unit, or det_ring where a column holds no unit pivot."""
+    try:
+        return det_unit(mat)
+    except ZgrassError:
+        return det_ring(mat)
 
 
 def _chart_columns(lam, d, n):
@@ -216,24 +226,27 @@ class FramePoint:
         n = len(cols)
         if n == 0:
             return Fraction(1)
-        if not self.exact:
-            if n > len(self.rows):
-                raise WindowTooSmall(
-                    f"frame holds {len(self.rows)} certified rows, need {n}"
-                )
-            if self.row_floor is not None and min(cols) < self.row_floor:
-                raise WindowTooSmall(
-                    f"column {min(cols)} below the data floor {self.row_floor}"
-                )
+        if err := self._refusal(cols):
+            raise err
         rows = self.basis(n)
-        mat = [
-            [rows[i].coeffs.get(c, Fraction(0)) for c in cols]
-            for i in range(n)
-        ]
-        try:
-            return det_unit(mat)
-        except ZgrassError:
-            return det_ring(mat)
+        return _det([[rows[i].coeffs.get(c, Fraction(0)) for c in cols]
+                     for i in range(n)])
+
+    def _refusal(self, cols):
+        """The WindowTooSmall that sampling cols raises, or None: an
+        approximate frame certifies only its explicit rows, and those only
+        at or above its data floor."""
+        if self.exact or not cols:
+            return None
+        if len(cols) > len(self.rows):
+            return WindowTooSmall(
+                f"frame holds {len(self.rows)} certified rows, need {len(cols)}"
+            )
+        if self.row_floor is not None and min(cols) < self.row_floor:
+            return WindowTooSmall(
+                f"column {min(cols)} below the data floor {self.row_floor}"
+            )
+        return None
 
     def plucker(self, lam):
         """Pluecker coordinate of the partition lam in the charge-d chart.
@@ -248,6 +261,57 @@ class FramePoint:
         lam = Partition(lam)
         n = max(len(lam), len(self.rows))
         return self.minor(_chart_columns(lam, self.charge, n))
+
+    def pluckers(self, lams):
+        """The coordinates plucker(lam) of the partitions lams, in order,
+        read off one reduction of the rows.
+
+        A partition longer than the rows reads 0 on an exact frame, where
+        its last tail row meets none of its columns, and is refused on an
+        approximate one.  Every other minor samples the explicit rows alone,
+        at chart columns at or above -tail_j.  Cut to the columns any of
+        lams samples, the rows are reduced once (linalg.unit_reduce), which
+        scales each such minor by the product of the pivots.  On the reduced
+        rows a pivot column is a unit vector, so the minor is the block of
+        the rows whose pivot lam does not sample, at lam's columns that are
+        no pivot, signed by the matching of rows to columns.  An exact frame
+        is reduced and monic already: its reduction does no arithmetic, and
+        its blocks are at most Durfee-sized on the big cell.  Refusals are
+        decided from the columns first: the first partition plucker refuses
+        raises the same error, before any arithmetic.
+        """
+        m = len(self.rows)
+        charts = []
+        for lam in lams:
+            if self.exact and len(lam) > m:
+                charts.append(None)
+                continue
+            cols = _chart_columns(lam, self.charge, max(len(lam), m))
+            if err := self._refusal(cols):
+                raise err
+            charts.append(cols)
+        sampled = sorted({c for cols in charts if cols for c in cols})
+        rows, pivots, scale = unit_reduce([r.coeffs for r in self.rows],
+                                          sampled, self.pivots)
+        out = []
+        for cols in charts:
+            if cols is None:
+                out.append(Fraction(0))
+                continue
+            # match row i to the position of its column in the minor: a
+            # pivot row to its pivot, the others in order to what is left
+            pos = {c: k for k, c in enumerate(cols)}
+            match = [pos.pop(p) if p in pos else None for p in pivots]
+            free = [i for i, k in enumerate(match) if k is None]
+            v = _det([[rows[i].get(c, Fraction(0)) for c in pos]
+                      for i in free])
+            for i, k in zip(free, pos.values()):
+                match[i] = k
+            if v and scale != 1:
+                v = v * scale
+            odd = sum(a > b for i, a in enumerate(match) for b in match[i + 1:])
+            out.append(-v if odd % 2 else v)
+        return out
 
     # -- flows ----------------------------------------------------------------
 
@@ -405,11 +469,15 @@ def is_prym_flow(g):
     The defect is required to vanish on the exponent range the data can
     certify, [val(g) + top(g), ..): a truncated odd exponential passes (its
     defect lives entirely below the sound range), while a generic unit like
-    1 + a z fails at the first cross term.
+    1 + a z fails at the first cross term.  Only the products that land in
+    that range are formed; tests/frame_oracles.py keeps the check on the
+    whole product as its oracle.
     """
-    defect = g * g.flip() - 1
-    if not defect.coeffs:
-        return True
-    v = g.valuation()
-    t = g.top
-    return all(e < v + t for e in defect.coeffs)
+    floor = g.valuation() + g.top
+    defect = {0: -1} if floor <= 0 else {}
+    flipped = g.flip().coeffs.items()
+    for e1, c1 in g.coeffs.items():
+        for e2, c2 in flipped:
+            if (e := e1 + e2) >= floor:
+                defect[e] = defect.get(e, 0) + c1 * c2
+    return not any(defect.values())

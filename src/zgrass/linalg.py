@@ -3,12 +3,15 @@
 Matrices are plain lists of lists.  det_unit is the one Gaussian
 elimination (det_field is det_unit over Fraction); det_ring expands, over
 rings without unit pivots.  _is_unit is the one pivot test, shared with the
-skew elimination of pfaffian.pfaffian.  echelon is the one row reduction: it
-reduces sparse rows one at a time against a sparse echelon basis, since the
-systems it solves have many more rows than rank.  Frames
+skew elimination of pfaffian.pfaffian.  echelon is the one row reduction
+over a field: it reduces sparse rows one at a time against a sparse echelon
+basis, since the systems it solves have many more rows than rank.  Frames
 (FramePoint.from_gens) and orbit profiles read their answers off it, and so
 does kernel, the sparse kernel of residue complements and stabilizers; rref
-and nullspace are their dense views.  Exactness is the point.
+and nullspace are their dense views.  unit_reduce is its column-by-column
+counterpart over coefficient rings, pivoting on units as det_unit does, that
+keeps the product of its pivots: FramePoint.pluckers reads a frame's
+coordinates off one such reduction.  Exactness is the point.
 """
 
 from bisect import insort
@@ -89,6 +92,48 @@ def det_unit(rows):
     return det
 
 
+def unit_reduce(rows, cols, declared):
+    """Gauss-Jordan reduction of sparse rows on unit pivots, cut to cols.
+
+    Rows are dicts {column: value}; entries outside cols are dropped.  The
+    columns are taken in the given order.  Each pivots on the row that
+    declares it (declared[i] is row i's declared pivot column) when that
+    row's entry there is a unit (_is_unit), and else, as det_unit picks
+    pivots, on the first row not yet pivoted whose entry is one: that row is
+    made monic and the column is cleared from every other row.  A column
+    without such an entry is passed over, and a row may find no pivot at
+    all.  Returns (rows, pivots, scale): the reduced rows in input order,
+    each row's pivot column (None where it found none), and the product of
+    the pivots, so that every maximal minor of the input on columns among
+    cols is scale times the same minor of the output.
+    """
+    keep = set(cols)
+    rows = [{c: x for c, x in r.items() if c in keep} for r in rows]
+    pivots = [None] * len(rows)
+    owner = {c: i for i, c in enumerate(declared)}
+    scale = Fraction(1)
+    for c in cols:
+        free = [i for i, r in enumerate(rows)
+                if pivots[i] is None and _is_unit(r.get(c, 0))]
+        if not free:
+            continue
+        i = owner[c] if owner.get(c) in free else free[0]
+        p = rows[i][c]
+        if p != 1:
+            try:
+                inv = _inv_coeff(p)
+            except ZgrassError:
+                continue  # an exact polynomial unit has no polynomial inverse
+            scale = scale * p
+            rows[i] = {k: x * inv for k, x in rows[i].items()}
+        pivots[i] = c
+        for j, r in enumerate(rows):
+            f = r.get(c)
+            if f and j != i:
+                _axpy(r, -f, rows[i])
+    return rows, pivots, scale
+
+
 def _is_unit(x):
     """Whether x can be a pivot: a nonzero rational (int or Fraction), or a
     ring element with a nonzero constant term (weight-truncated parameter
@@ -160,13 +205,14 @@ def rref(rows, ncols=None):
 
 
 def _axpy(v, f, w):
-    """v += f * w on sparse rows, dropping the entries that cancel."""
+    """v += f * w on sparse rows, dropping the entries that vanish."""
     for c, x in w.items():
         y = v.get(c, 0) + f * x
         if y:
             v[c] = y
         else:
-            del v[c]
+            # over a capped ring f * x itself can vanish
+            v.pop(c, None)
 
 
 def kernel(rows, cols):

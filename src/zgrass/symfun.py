@@ -388,6 +388,19 @@ def tconst(c):
     return TimePolynomial({(): c})
 
 
+def tsum(polys, maxweight):
+    """The sum of the polynomials, known through the least of their caps and
+    maxweight: the terms gather in one dict, not in a copy per summand."""
+    data = {}
+    for p in polys:
+        if p.maxweight is not None and (
+                maxweight is None or p.maxweight < maxweight):
+            maxweight = p.maxweight
+        for m, c in p.terms.items():
+            data[m] = data[m] + c if m in data else c
+    return TimePolynomial._canonical(data, maxweight)
+
+
 # -- Schur calculus ----------------------------------------------------------
 
 @cache

@@ -37,6 +37,7 @@ from .symfun import (
     schur_p,
     sqrt_series,
     tconst,
+    tsum,
 )
 
 
@@ -48,7 +49,9 @@ def plucker_support(u, cap=None):
     columns inside the row support, so the support lives in the box of at
     most len(rows) parts, each at most maxtop + 1 - charge; the box is
     enumerated only to weight cap.  An approximate frame has no box: it
-    takes every partition up to the cap, which it therefore requires.
+    takes every partition up to the cap, which it therefore requires.  The
+    coordinates come off one reduction of the frame (FramePoint.pluckers),
+    and a partition the frame cannot certify refuses before any is formed.
     """
     if u.exact:
         width = max((r.top for r in u.rows), default=0) + 1 - u.charge
@@ -57,7 +60,7 @@ def plucker_support(u, cap=None):
         raise ZgrassError("tau of an approximate frame needs a weight cap")
     else:
         lams = partitions_upto(cap)
-    return [(lam, v) for lam in lams if (v := u.plucker(lam))]
+    return [(lam, v) for lam, v in zip(lams, u.pluckers(lams)) if v]
 
 
 def tau_function(u, cap=None):
@@ -66,10 +69,8 @@ def tau_function(u, cap=None):
     The sum runs over plucker_support(u, cap): exact when cap is None (exact
     frames only), and known through weight cap otherwise.
     """
-    acc = TimePolynomial({}, cap)
-    for lam, v in plucker_support(u, cap):
-        acc = acc + schur(lam.parts) * v
-    return acc
+    return tsum((schur(lam.parts) * v for lam, v in plucker_support(u, cap)),
+                cap)
 
 
 def times_flow(cap, floor):
@@ -194,12 +195,7 @@ def bilinear_residues(matrices, weight):
         raise ZgrassError("residual matrices too small for the weight")
     ps = [schur_p(k, "t").with_cap(weight) for k in range(1, weight + 1)]
     qs = [schur_p(k, "s").with_cap(weight) for k in range(1, weight + 1)]
-    out = []
-    for m in matrices:
-        acc = TimePolynomial({}, weight)
-        for i, row in enumerate(m):
-            for j in range(weight - i - 1):
-                if row[j]:
-                    acc = acc + ps[i] * qs[j] * row[j]
-        out.append(acc)
-    return tuple(out)
+    return tuple(
+        tsum((ps[i] * qs[j] * row[j] for i, row in enumerate(m)
+              for j in range(weight - i - 1) if row[j]), weight)
+        for m in matrices)

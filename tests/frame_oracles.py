@@ -7,7 +7,8 @@ through them, and gram_pfaffian is the Pfaffian of the Gram matrix
 gram_matrix.  flipped is the image of a point under the sign flip, and
 evaluate reads a time polynomial at rational times.  nullspace_complement is
 the residue complement by a dense nullspace and a second elimination, and
-echelon_calls counts the rows of every echelon pass.  hirota forms the
+echelon_calls counts the rows of every echelon pass.  prym_flow_full is the
+Prym-flow test on the whole product g(z) g(-z).  hirota forms the
 Hirota bilinear derivative D^alpha tau.tau and kp_defect the left side of the
 KP equation in Hirota form, an oracle for tau polynomials that uses only
 TimePolynomial.differentiate.
@@ -53,6 +54,18 @@ def nullspace_complement(u):
             for v in nullspace(mat, len(cand))]
     w = FramePoint.from_gens(gens, -floor_e, u.window, allow_dependent=True)
     return FramePoint(w.rows, w.pivots, w.tail_j, w.window, exact=u.exact)
+
+
+def prym_flow_full(g):
+    """grassmann.is_prym_flow as it was before it formed only the exponents
+    it reads: the whole defect g(z) g(-z) - 1, required to vanish from
+    val(g) + top(g) up; kept as an oracle."""
+    defect = g * g.flip() - 1
+    if not defect.coeffs:
+        return True
+    v = g.valuation()
+    t = g.top
+    return all(e < v + t for e in defect.coeffs)
 
 
 def echelon_calls(monkeypatch):

@@ -587,8 +587,9 @@ class TestGoldenReports:
 def test_tau_work_on_three_row_point(tmp_path, capsys, monkeypatch):
     """One tau per request, to the weight the report prints: the
     flow-consistency check reads the tau the report prints, so the support
-    box is swept once, through --weight, and no frame reads a minor column
-    set twice."""
+    box is swept once, through --weight, its coordinates come off one
+    reduction, and the one minor of the request is the check's vacuum minor
+    of the flowed frame."""
     sweeps, reads = [], []
     support, minor = tau.plucker_support, FramePoint.minor
 
@@ -605,7 +606,9 @@ def test_tau_work_on_three_row_point(tmp_path, capsys, monkeypatch):
     code, rep = run(tmp_path, THREE_ROW, "tau", capsys=capsys)
     assert code == 0 and rep["report"]["tau"]["terms"]
     assert sweeps == [8]
-    assert reads and len(set(reads)) == len(reads)
+    [(frame, cols)] = reads
+    assert not frame.exact
+    assert cols == tuple(frame.charge - i for i in range(1, len(frame.rows) + 1))
 
 
 # {-1: 1, 0: 2} over tail 40: support (39) and (40), past every cap
@@ -625,27 +628,34 @@ def test_work_bounded_by_the_weight_read(tmp_path, capsys, monkeypatch,
                                          obj, argv, cap):
     """Tau is built only to the weight its caller reads (--weight, or
     3 * maxsize + 2 for the suite): however wide the support box, no Schur
-    polynomial and no minor is formed for a partition past that cap."""
-    schurs, minors = [], []
-    schur, plucker = symfun.schur, FramePoint.plucker
+    polynomial is formed and no coordinate evaluated for a partition past
+    that cap, whether one reduction reads it or a single minor."""
+    schurs, coords = [], []
+    schur = symfun.schur
+    plucker, pluckers = FramePoint.plucker, FramePoint.pluckers
 
     def counting_schur(lam):
         schurs.append(Partition(lam).weight)
         return schur(lam)
 
     def counting_plucker(self, lam):
-        minors.append(Partition(lam).weight)
+        coords.append(Partition(lam).weight)
         return plucker(self, lam)
+
+    def counting_pluckers(self, lams):
+        coords.extend(Partition(lam).weight for lam in lams)
+        return pluckers(self, lams)
 
     monkeypatch.setattr(symfun, "schur", counting_schur)
     monkeypatch.setattr(tau, "schur", counting_schur)
     monkeypatch.setattr(FramePoint, "plucker", counting_plucker)
+    monkeypatch.setattr(FramePoint, "pluckers", counting_pluckers)
     code, rep = run(tmp_path, obj, *argv, capsys=capsys)
     assert code == 0 and rep["ok"]
     assert max(schurs, default=0) <= cap
-    assert minors and max(minors) <= cap
+    assert coords and max(coords) <= cap
     # the pruned support box, plus the flowed vacuum minor of tau's check
-    assert len(minors) <= len(partitions_upto(cap)) + 1
+    assert len(coords) <= len(partitions_upto(cap)) + 1
 
 
 def test_bilinear_work_on_three_row_point(tmp_path, capsys, monkeypatch):

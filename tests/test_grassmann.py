@@ -4,9 +4,10 @@ import pkgutil
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import zgrass
+from zgrass import grassmann
 from zgrass.errors import (
     DependentGenerators,
     IndexMismatch,
@@ -17,8 +18,16 @@ from zgrass.errors import (
     ZgrassError,
 )
 from zgrass.grassmann import FramePoint, is_prym_flow
+from zgrass.linalg import unit_reduce
 from zgrass.series import LaurentSeries, exp_floor, pair_sigma
-from zgrass.symfun import schur, schur_p, tconst, tvar
+from zgrass.symfun import (
+    TimePolynomial,
+    partitions_upto,
+    schur,
+    schur_p,
+    tconst,
+    tvar,
+)
 from zgrass.tau import times_flow
 
 from frame_oracles import (
@@ -28,6 +37,7 @@ from frame_oracles import (
     exchange_defect,
     flipped,
     nullspace_complement,
+    prym_flow_full,
 )
 
 ONE = LaurentSeries.one()
@@ -523,7 +533,28 @@ class TestEchelonOracles:
         assert coset_reps(b, a) == seen_dict_coset_reps(b, a)
 
 
+@st.composite
+def prym_candidates(draw):
+    """Odd exponentials, rational or in a family, cut at any floor; 1 + a z;
+    rational flows; and the even exponential exp(z^-2) cut at -6."""
+    kind = draw(st.sampled_from(("odd", "linear", "rational", "even")))
+    if kind == "odd":
+        coeff = st.one_of(COEFFS, st.just(tvar(1, "a")))
+        u = series({-k: draw(coeff) for k in (1, 3, 5)})
+        return exp_floor(u, draw(st.integers(-12, -1)))
+    if kind == "linear":
+        return series({0: 1, 1: draw(COEFFS)})
+    if kind == "rational":
+        return draw(rational_flows())
+    return exp_floor(mono(-2), -6)
+
+
 class TestPrymFlows:
+    @settings(max_examples=150)
+    @given(prym_candidates())
+    def test_matches_the_whole_product(self, g):
+        assert is_prym_flow(g) == prym_flow_full(g)
+
     def test_truncated_odd_exponential(self):
         g = exp_floor(series({-1: 2, -3: 1, -5: Fraction(1, 3)}), -12)
         assert is_prym_flow(g)
@@ -566,6 +597,119 @@ def rational_flows(draw):
                          min_size=1, max_size=3, unique=True))
     nonzero = st.fractions(-3, 3, max_denominator=4).filter(bool)
     return series({anchor: 1, **{e: draw(nonzero) for e in exps}})
+
+
+def read_all(read):
+    """The list read() returns, or the type and message of its refusal."""
+    try:
+        return read()
+    except ZgrassError as exc:
+        return type(exc), str(exc)
+
+
+def assert_pluckers_are_minors(u, lams):
+    """One reduction reads what plucker reads, partition by partition, and
+    refuses where plucker first refuses, with the same error.
+
+    A flowed frame's polynomial entries are known through a weight cap, and
+    so are its coordinates: there a rational and the same constant known
+    through the cap are one value, and which of the two a determinant
+    returns depends on its pivots.  So flowed coordinates are compared by
+    their difference, which vanishes through the cap."""
+    got = read_all(lambda: u.pluckers(lams))
+    want = read_all(lambda: [u.plucker(lam) for lam in lams])
+    if u.exact or isinstance(want, tuple):
+        assert got == want
+    else:
+        assert len(got) == len(want)
+        assert not [lam for lam, a, b in zip(lams, got, want) if a - b]
+
+
+# every partition through weight 5: (1^4) and (1^5) outrun three rows
+LAMS = partitions_upto(5)
+
+
+@st.composite
+def family_units(draw, floor):
+    """exp(a_1 z^-1 + c z^-3) down to the floor, c a rational or the
+    variable b_3, its polynomial coefficients capped at a weight 1-5 as
+    `zgrass family-square` caps them, or the universal flow in the times."""
+    if draw(st.booleans()):
+        return times_flow(draw(st.integers(1, 5)), floor)
+    c3 = draw(st.one_of(COEFFS, st.just(tvar(3, "b"))))
+    g = exp_floor(series({-1: tvar(1, "a"), -3: c3}), floor)
+    cap = draw(st.integers(1, 5))
+    return LaurentSeries({
+        e: c.with_cap(cap) if isinstance(c, TimePolynomial) else c
+        for e, c in g.coeffs.items()})
+
+
+@st.composite
+def flowed_frames(draw):
+    """small_frames in a window of radius 2-5, moved by one or two rational
+    or family flows: a second flow that draws on the stand-in tail sets a
+    data floor, and a shallow window leaves few certified rows."""
+    lo = draw(st.integers(-5, -2))
+    u = draw(small_frames())
+    u = FramePoint(u.rows, u.pivots, u.tail_j, (lo, -lo))
+    flows = st.one_of(rational_flows(), family_units(lo))
+    for g in draw(st.lists(flows, min_size=1, max_size=2)):
+        u = u.flow(g)
+    return u
+
+
+class TestPluckers:
+    @settings(max_examples=200)
+    @given(small_frames())
+    # charge -2; charge 0 off the big cell (pi_() = 0); charge 3
+    @example(FramePoint.from_gens([ONE], 3))
+    @example(FramePoint.from_gens([mono(-3), mono(0), mono(1)], 3))
+    @example(FramePoint.from_gens([mono(2), mono(1), mono(0)], 0))
+    def test_exact_frames(self, u):
+        assert_pluckers_are_minors(u, LAMS)
+
+    @settings(max_examples=60, deadline=None)
+    @given(flowed_frames())
+    def test_flowed_frames(self, u):
+        assert_pluckers_are_minors(u, LAMS)
+
+    def test_non_unit_declared_pivot(self):
+        # (z^-1 - 1)(1 + z^-1) = z^-2 - 1 is zero at its declared pivot -1
+        u = point_a(-1, (-4, 4)).flow(series({0: 1, -1: 1}))
+        assert u.rows[0].coeff(u.pivots[0]) == 0
+        assert_pluckers_are_minors(u, LAMS)
+
+    def test_refusals(self):
+        # three certified rows: (1^4) is the first partition refused
+        u = FramePoint.vacuum((-3, 3)).flow(times_flow(4, -3))
+        assert read_all(lambda: u.pluckers(LAMS)) == (
+            WindowTooSmall, "frame holds 3 certified rows, need 4")
+        # a second flow drawing on the stand-in tail sets a data floor
+        v = u.flow(series({0: 1, 1: 2}))
+        assert read_all(lambda: v.pluckers(LAMS))[1].startswith("column ")
+        for w in (u, v):
+            assert_pluckers_are_minors(w, LAMS)
+
+    def test_exact_frame_needs_no_arithmetic(self, monkeypatch):
+        # a canonical frame is reduced and monic: the reduction returns its
+        # rows, and on the big cell each block is Durfee-sized
+        u = FramePoint.from_gens(
+            [series({-3: 1, 1: 2, 2: -1}), series({-2: 1, 0: 3, 3: 1}),
+             series({-1: 1, 2: 1})], 3)
+        cols = range(-3, 4)
+        assert unit_reduce([r.coeffs for r in u.rows], cols, u.pivots) == (
+            [r.coeffs for r in u.rows], list(u.pivots), 1)
+        sizes, det_unit = [], grassmann.det_unit
+
+        def recording(rows):
+            sizes.append(len(rows))
+            return det_unit(rows)
+
+        monkeypatch.setattr(grassmann, "det_unit", recording)
+        lams = partitions_upto(6)
+        u.pluckers(lams)
+        assert sizes == [sum(p > i for i, p in enumerate(lam))
+                         for lam in lams if len(lam) <= 3]
 
 
 class TestComplementOracle:

@@ -11,12 +11,11 @@ status 0 exactly when every asserted check passes.
 
 import json
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
 
 from . import __version__
 from .errors import OddParity, ParseError, WindowTooSmall, ZgrassError
-from .grassmann import FramePoint, _is_unit_one, is_prym_flow
+from .grassmann import DEFAULT_WINDOW, FramePoint
 from .hierarchy import constraint_suite, suite_verdict, suite_weight
 from .io import (
     curve_from_json,
@@ -30,8 +29,6 @@ from .io import (
 from .krichever import orbit_profile, p0_membership, span_closure
 from .linalg import det_field
 from .pfaffian import pfaffian, section_square_check
-from .series import LaurentSeries, exp_floor
-from .symfun import TimePolynomial, tvar
 from .tau import (
     baker,
     baker_residual_matrices,
@@ -40,6 +37,7 @@ from .tau import (
     tau_function,
     tau_flow_consistency,
     taubar,
+    time_shift,
 )
 
 
@@ -54,20 +52,6 @@ def _skip(name, detail):
 
 def _win(args):
     return (-args.window, args.window)
-
-
-def flow_exponential(flows, floor):
-    """exp(sum c_k z^-k) as an exact series, written out down to the floor.
-
-    A string coefficient names a formal family: the flow along z^-k then
-    carries the weight-k variable of that family, so minors and tau values
-    come out as polynomials in those parameters.
-    """
-    coeffs = {
-        -k: tvar(k, c) if isinstance(c, str) else Fraction(c)
-        for k, c in flows.items()
-    }
-    return exp_floor(LaurentSeries(coeffs), floor)
 
 
 # -- command bodies ------------------------------------------------------------
@@ -232,19 +216,18 @@ def cmd_pfaffian(obj, args):
 def cmd_family_square(obj, args):
     flows, floor, base = family_from_json(obj)
     weight = args.weight
-    window = (floor, -floor)
-    start = (FramePoint.vacuum(window) if base is None
-             else point_from_json(base, window))
-    g = flow_exponential(flows, floor)
-    pi0 = start.flow(g).plucker(())
+    start = (FramePoint.vacuum() if base is None
+             else point_from_json(base, DEFAULT_WINDOW))
+    if weight > -floor:
+        raise WindowTooSmall(f"--weight {weight} is above -floor {-floor}")
+    # the section reads the base tau over plucker_support's whole box: with
+    # the shift, 2.5 s at box weight 24 and 16 s at 32 (one Xeon core)
+    box = len(start.rows) * (
+        max((r.top for r in start.rows), default=0) + 1 - start.charge)
+    if box > 24:
+        raise ParseError(f"base tau box weight {box} is above the bound 24")
+    tau, pi0 = time_shift(tau_function(start), flows, weight)
     sq = section_square_check(pi0)
-    # capping each coefficient at the weight keeps everything of joint
-    # weight within it exact
-    moved = start.flow(LaurentSeries({
-        e: c.with_cap(weight) if isinstance(c, TimePolynomial) else c
-        for e, c in g.coeffs.items()
-    }))
-    tau = tau_function(moved, cap=weight)
     rep = {
         "flows": {str(k): c for k, c in sorted(flows.items())},
         "floor": floor,
@@ -252,14 +235,14 @@ def cmd_family_square(obj, args):
         "section_square": {"ok": sq.ok, "scale": sq.scale},
         "tau": tau,
     }
-    checks = [_check("prym-flow", is_prym_flow(g),
+    # g(z) g(-z) = exp(2 sum of the even c_k z^-k)
+    checks = [_check("prym-flow", all(k % 2 or not c for k, c in
+                                      flows.items()),
                      "flow times its sign image is the identity")]
     if base is None:
-        # along the odd orbit of the base flag the whole frame determinant
-        # collapses: the section is the constant 1, an exact square
-        checks.append(_check(
-            "square-section", sq.ok and sq.scale == 1 and _is_unit_one(pi0),
-            "leading minor is exactly 1 on the base orbit"))
+        # the vacuum's tau is 1, so its section is 1 at every c
+        checks.append(_check("square-section", pi0 == 1,
+                             "leading minor is exactly 1 on the base orbit"))
     else:
         checks.append(_check(
             "square-section", sq.ok,

@@ -464,15 +464,12 @@ class FramePoint:
 
 
 def is_prym_flow(g):
-    """Whether g is a flow along the involution locus: g(z) g(-z) = 1.
-
-    The defect is required to vanish on the exponent range the data can
-    certify, [val(g) + top(g), ..): a truncated odd exponential passes (its
-    defect lives entirely below the sound range), while a generic unit like
-    1 + a z fails at the first cross term.  Only the products that land in
-    that range are formed; tests/frame_oracles.py keeps the check on the
-    whole product as its oracle.
-    """
+    """Whether g is a flow along the involution locus: g(z) g(-z) = 1 on
+    the exponents the data certify, val(g) + top(g) and up, so a truncated
+    odd exponential passes and 1 + a z fails.  Only products landing there
+    are formed (tests/frame_oracles.py keeps the whole product).  No src/
+    module calls it, since family-square reads the flow exponents; the
+    benchmark's tracer (perfbench/tracer.py) binds it by name."""
     floor = g.valuation() + g.top
     defect = {0: -1} if floor <= 0 else {}
     flipped = g.flip().coeffs.items()

@@ -174,12 +174,12 @@ def curve_from_json(obj, window):
 
 
 def family_from_json(obj):
-    """Flow data: {exponent: coefficient}, truncation floor, optional base.
+    """Flow data: {exponent: coefficient}, floor, optional base point.
 
     A coefficient is an exact rational or the name of a formal family; the
     base (a point object, same shape as a point file minus the kind tag)
-    defaults to the standard flag when absent.
-    """
+    defaults to the vacuum.  family-square reads the flow as a time shift,
+    so the floor truncates nothing: it bounds the weight."""
     flows = obj.get("flows")
     if not isinstance(flows, dict) or not flows:
         raise ParseError("a family file needs a nonempty object under 'flows'")
@@ -195,8 +195,6 @@ def family_from_json(obj):
         else:
             out[k] = parse_frac(value)
     floor = obj.get("floor", -8)
-    # bounds the cost: family-square with flows {1: a, 3: b} at weight 8
-    # takes 2.7 s at -48 and 29 s at -96 (one Xeon core)
     if (not isinstance(floor, int) or isinstance(floor, bool)
             or not -48 <= floor <= -1):
         raise ParseError(

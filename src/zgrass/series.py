@@ -290,11 +290,10 @@ def pair_sigma(f, g):
 
 
 def exp_floor(u, floor):
-    """Truncated exponential of a series supported in negative exponents.
-
-    Returns the exact Laurent polynomial agreeing with exp(u) on exponents
-    >= floor.  The constraint on the support of u is what makes the sum
-    finite: each power of u sinks by at least one exponent.
+    """Truncated exponential of a series supported in negative exponents:
+    the exact Laurent polynomial agreeing with exp(u) on exponents >= floor,
+    a finite sum since each power of u sinks by at least one exponent.  No
+    src/ module calls it; the tests do, and perfbench/tracer.py binds it.
     """
     if u.top is not None and u.top >= 0:
         raise ZgrassError("exp_floor needs support in negative exponents")

@@ -3,9 +3,10 @@
 The tau polynomial of a point collects its minors against the Schur basis
 in the times t: tau_U = sum of plucker(lam) * schur_lam over the partitions
 plucker_support picks -- an explicit box for an exact frame, pruned to the
-weight cap the caller reads.  Flowing the point by the universal unit
-exp(sum t_k z^-k) turns the vacuum minor into the same polynomial, which is
-the consistency this module lets callers check.
+weight cap the caller reads.  The universal flow exp(sum t_k z^-k) turns
+the vacuum minor into tau, a consistency callers check; so a flow by
+g = exp(sum c_k z^-k) shifts the times (Segal-Wilson 1985): tau_gU(t) is
+tau_U(t + c), and the vacuum minor of gU is tau_U(c) (time_shift).
 
 The square-root normal form factors the odd-times restriction of tau as
 scale * root^2 through a chosen weight; it exists exactly when tau does not
@@ -38,6 +39,7 @@ from .symfun import (
     sqrt_series,
     tconst,
     tsum,
+    tvar,
 )
 
 
@@ -71,6 +73,27 @@ def tau_function(u, cap=None):
     """
     return tsum((schur(lam.parts) * v for lam, v in plucker_support(u, cap)),
                 cap)
+
+
+def time_shift(tau, flows, cap):
+    """tau(t + c) through the cap and tau(c), exact (a rational when
+    constant), from a point's exact tau, for the flow exp(sum c_k z^-k):
+    flows[k] is c_k, a rational, or a name for the variable c_k of weight k."""
+    c = {k: tvar(k, v) if isinstance(v, str) else tconst(v)
+         for k, v in flows.items()}
+    powers, moved, at_c = {}, [], []
+    for mono, coef in tau.terms.items():
+        up, down = tconst(coef).with_cap(cap), tconst(coef)
+        for (_, k), m in mono:
+            if (k, m) not in powers:
+                ck = c.get(k, TimePolynomial())
+                powers[k, m] = (tvar(k) + ck).with_cap(cap) ** m, ck ** m
+            up, down = up * powers[k, m][0], down * powers[k, m][1]
+        moved.append(up)
+        at_c.append(down)
+    section = tsum(at_c, None)
+    constant = set(section.terms) <= {()}
+    return tsum(moved, cap), section.constant_term() if constant else section
 
 
 def times_flow(cap, floor):

@@ -8,7 +8,9 @@ gram_matrix.  flipped is the image of a point under the sign flip, and
 evaluate reads a time polynomial at rational times.  nullspace_complement is
 the residue complement by a dense nullspace and a second elimination, and
 echelon_calls counts the rows of every echelon pass.  prym_flow_full is the
-Prym-flow test on the whole product g(z) g(-z).  hirota forms the
+Prym-flow test on the whole product g(z) g(-z).  flow_exponential and
+flowed_tau flow a point by a family's exponential, the route `zgrass
+family-square` took before it read flows as time shifts.  hirota forms the
 Hirota bilinear derivative D^alpha tau.tau and kp_defect the left side of the
 KP equation in Hirota form, an oracle for tau polynomials that uses only
 TimePolynomial.differentiate.
@@ -24,8 +26,9 @@ from zgrass.errors import WindowTooSmall, ZgrassError
 from zgrass.grassmann import DEFAULT_WINDOW, FramePoint, _chart_columns
 from zgrass.linalg import det_field, echelon, nullspace
 from zgrass.pfaffian import pfaffian
-from zgrass.series import LaurentSeries, pair_sigma
-from zgrass.symfun import Partition, TimePolynomial
+from zgrass.series import LaurentSeries, exp_floor, pair_sigma
+from zgrass.symfun import Partition, TimePolynomial, tvar
+from zgrass.tau import tau_function
 
 
 def flipped(u):
@@ -66,6 +69,31 @@ def prym_flow_full(g):
     v = g.valuation()
     t = g.top
     return all(e < v + t for e in defect.coeffs)
+
+
+def flow_exponential(flows, floor):
+    """exp(sum c_k z^-k) as an exact series, written out down to the floor;
+    c_k is a rational, or the weight-k variable of the family a string
+    names."""
+    return exp_floor(LaurentSeries({
+        -k: tvar(k, c) if isinstance(c, str) else Fraction(c)
+        for k, c in flows.items()}), floor)
+
+
+def flowed_tau(base, flows, floor, weight):
+    """(tau through the weight, vacuum minor) of the base flowed by
+    flow_exponential(flows, floor) in the window (floor, -floor), as `zgrass
+    family-square` computed them before it read flows as time shifts: the
+    tau off the flow with every coefficient capped at the weight.  Both
+    equal tau.time_shift's when the base's tau box weight is at most
+    -floor; a weight above -floor + charge raises WindowTooSmall."""
+    start = FramePoint(base.rows, base.pivots, base.tail_j, (floor, -floor))
+    g = flow_exponential(flows, floor)
+    capped = LaurentSeries({
+        e: c.with_cap(weight) if isinstance(c, TimePolynomial) else c
+        for e, c in g.coeffs.items()})
+    return (tau_function(start.flow(capped), weight),
+            start.flow(g).plucker(()))
 
 
 def echelon_calls(monkeypatch):

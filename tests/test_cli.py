@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import zgrass
+from frame_oracles import flowed_tau
 from zgrass import __version__, cli, hierarchy, krichever, symfun, tau
 from zgrass.cli import main
 from zgrass.errors import ParseError
@@ -549,6 +550,72 @@ class TestFamilySquare:
         code, rep = run(tmp_path, fam, "family-square", capsys=capsys)
         assert code == 1 and "prym-flow" in names(rep, "fail")
 
+    def test_even_flow_fails_at_every_floor(self, tmp_path, capsys):
+        # at floor -1 the flow cut there is 1, a Prym flow
+        for floor in (-1, -2, -8):
+            fam = {"kind": "family", "flows": {"2": "a"}, "floor": floor}
+            code, rep = run(tmp_path, fam, "family-square", "--weight", "1",
+                            capsys=capsys)
+            assert code == 1 and names(rep, "fail") == ["prym-flow"]
+
+    def test_answers_do_not_depend_on_the_floor(self, tmp_path, capsys):
+        # the base tau reads t4, which a flow cut at floor -3 changes
+        fam = {"kind": "family", "flows": {"1": "b", "3": "3/2"}, "base": {
+            "gens": [{"-2": "1", "-1": "-1", "2": "2"}, {"-1": "1", "1": "2"}],
+            "tail": 2}}
+        reports = []
+        for floor in (-3, -4, -20):
+            code, rep = run(tmp_path, dict(fam, floor=floor), "family-square",
+                            "--weight", "3", capsys=capsys)
+            assert code == 0
+            reports.append({k: v for k, v in rep["report"].items()
+                            if k != "floor"})
+        assert reports[0] == reports[1] == reports[2]
+        section = reports[0]["section"]
+        assert section == {"cap": None, "terms": {
+            "1": "-5/1", "b1^2": "1/1", "b1^3": "1/3", "b1^4": "-1/4",
+            "b1^6": "-1/36"}}
+
+    def test_builds_no_flowed_frame(self, tmp_path, capsys, monkeypatch):
+        def refuse(self, g):
+            raise AssertionError("family-square flowed a frame")
+
+        monkeypatch.setattr(FramePoint, "flow", refuse)
+        for obj, weight in ((TWO_FAMILY, "6"), (PARITY0_FAMILY, "4")):
+            code, rep = run(tmp_path, obj, "family-square", "--weight",
+                            weight, capsys=capsys)
+            assert code == 0 and rep["report"]["tau"]["cap"] == int(weight)
+
+    def test_weight_above_minus_floor_is_refused(self, tmp_path, capsys):
+        # the floor bounds the weight, for a charged base as well
+        base = {"gens": [{"-1": "1", "1": "1"}], "tail": 0}
+        for obj in (TWO_FAMILY, dict(TWO_FAMILY, base=base)):
+            code, rep = run(tmp_path, dict(obj, floor=-3), "family-square",
+                            "--weight", "4", capsys=capsys)
+            assert code == 2 and rep["error"] == (
+                "WindowTooSmall: --weight 4 is above -floor 3")
+
+    def test_box_weight_bound(self, tmp_path, capsys, monkeypatch):
+        """The section reads the whole base tau, whose partitions fill a
+        box of weight len(rows) * (maxtop + 1 - charge): 24 answers, and
+        above it the base is refused before a coordinate is read."""
+        def base(top):
+            return dict(TWO_FAMILY, base={"gens": [{"-1": "1", str(top): "1"}],
+                                          "tail": 1})
+
+        code, rep = run(tmp_path, base(23), "family-square", "--weight", "4",
+                        capsys=capsys)
+        assert code == 0 and rep["report"]["section"]["terms"]
+
+        def refuse(self, lams):
+            raise AssertionError("coordinates read past the box bound")
+
+        monkeypatch.setattr(FramePoint, "pluckers", refuse)
+        code, rep = run(tmp_path, base(24), "family-square", "--weight", "4",
+                        capsys=capsys)
+        assert code == 2 and rep["error"] == (
+            "ParseError: base tau box weight 25 is above the bound 24")
+
 
 class TestGoldenReports:
     """Reports pinned byte for byte under tests/data/golden."""
@@ -1056,22 +1123,17 @@ class TestCodecRoundTrip:
         ("family_square_two", TWO_FAMILY, 6),
         ("family_square_parity0", PARITY0_FAMILY, 4)])
     def test_family_square(self, name, obj, weight):
+        """The golden tau and section against the flowed frame."""
         rep = self.golden(name)
         flows, floor, base = family_from_json(obj)
-        window = (floor, -floor)
-        start = (FramePoint((), (), 0, window) if base is None
-                 else point_from_json(base, window))
-        g = cli.flow_exponential(flows, floor)
-        section = start.flow(g).plucker(())
+        start = (FramePoint.vacuum() if base is None
+                 else point_from_json(base, (floor, -floor)))
+        t, section = flowed_tau(start, flows, floor, weight)
         got = rep["section"]  # a rational on the base orbit
         assert (parse_frac(got) if isinstance(got, str)
                 else poly_from_json(got)) == section
         assert parse_frac(rep["section_square"]["scale"]) == (
             section_square_check(section).scale)
-        capped = LaurentSeries({
-            e: c.with_cap(weight) if isinstance(c, TimePolynomial) else c
-            for e, c in g.coeffs.items()})
-        t = tau.tau_function(start.flow(capped), weight)
         assert poly_from_json(rep["tau"]) == t
         if "root" in rep:
             nf = tau.taubar(t, weight)

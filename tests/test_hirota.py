@@ -5,19 +5,18 @@ independently of the Pluecker minors tau is built from: the oracle
 (frame_oracles.kp_defect) only differentiates the finished polynomial.  It
 runs on random exact frames of every small charge, on the monomial corpus
 (tau = s_lam), on weight-capped taus, where it is read only through
-weight cap - 4, and on the flowed taus `zgrass family-square` prints.  A
+weight cap - 4, and on the shifted taus `zgrass family-square` prints.  A
 tau with one Pluecker coordinate perturbed must fail it.
 """
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from frame_oracles import hirota, kp_defect
-from zgrass.cli import flow_exponential
+from frame_oracles import flowed_tau, hirota, kp_defect
 from zgrass.grassmann import FramePoint
 from zgrass.series import LaurentSeries
 from zgrass.symfun import TimePolynomial, partitions_upto, schur, tvar
-from zgrass.tau import plucker_support, tau_function
+from zgrass.tau import plucker_support, tau_function, time_shift
 
 W = (-16, 12)
 
@@ -115,10 +114,11 @@ class TestKP:
 
 
 class TestFamilySquare:
-    """KP on tau of a base point flowed by a formal family, built as
-    `zgrass family-square` builds it: every flow coefficient capped at the
-    weight.  The base is not the vacuum, whose flowed tau is the constant 1;
-    the taus are polynomials in t and the family parameters."""
+    """KP on tau of a base point flowed by a formal family, as `zgrass
+    family-square` prints it: the base tau at the shifted times t + c, which
+    is the tau of the flowed frame (the oracle).  The base is not the
+    vacuum, whose flowed tau is the constant 1; the taus are polynomials in
+    t and the family parameters."""
 
     @pytest.mark.parametrize("flows, gens, tail", [
         ({1: "a", 3: "b"}, [{-1: 1, 1: 1}], 1),
@@ -129,11 +129,8 @@ class TestFamilySquare:
         weight, floor = 8, -10
         start = FramePoint.from_gens([LaurentSeries(g) for g in gens], tail,
                                      (floor, -floor))
-        g = flow_exponential(flows, floor)
-        capped = LaurentSeries({
-            e: c.with_cap(weight) if isinstance(c, TimePolynomial) else c
-            for e, c in g.coeffs.items()})
-        t = tau_function(start.flow(capped), weight)
+        t, _ = time_shift(tau_function(start), flows, weight)
+        assert t == flowed_tau(start, flows, floor, weight)[0]
         families = {fam for mono in t.terms for (fam, _), _ in mono}
         assert families - {"t"}
         d = kp_defect(t)

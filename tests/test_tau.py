@@ -6,7 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from zgrass.errors import InsufficientPrecision, OddParity, ZgrassError
+from frame_oracles import flowed_tau
+from zgrass.errors import (
+    InsufficientPrecision,
+    OddParity,
+    WindowTooSmall,
+    ZgrassError,
+)
 from zgrass.grassmann import FramePoint
 from zgrass.krichever import CurveData, span_closure
 from zgrass.series import LaurentSeries, residue
@@ -29,6 +35,7 @@ from zgrass.tau import (
     tau_function,
     tau_flow_consistency,
     taubar,
+    time_shift,
     times_flow,
 )
 
@@ -361,6 +368,38 @@ def exact_frames(draw):
         for _ in range(draw(st.integers(0, 3)))
     ]
     return FramePoint.from_gens(gens, tail, (-12, 12), allow_dependent=True)
+
+
+class TestTimeShift:
+    """A flow exp(sum c_k z^-k) acts on tau as the shift t -> t + c: the
+    shifted tau and its value at c are the tau and the vacuum minor of the
+    flowed frame, the oracle."""
+
+    @given(exact_frames(), st.data())
+    def test_matches_flowed_frame(self, u, data):
+        """Named, rational and even flows, wherever the flowed frame
+        answers and its exponential is cut below every time the base tau
+        reads."""
+        top = max((r.top for r in u.rows), default=0)
+        box = max(len(u.rows) * (top + 1 - u.charge), 1)
+        floor = data.draw(st.integers(-box - 3, -box))
+        weight = data.draw(st.integers(0, min(6, -floor)))
+        flows = data.draw(st.dictionaries(
+            st.integers(1, 6),
+            st.sampled_from("ab") | st.fractions(-2, 2, max_denominator=3),
+            min_size=1, max_size=3))
+        try:
+            want = flowed_tau(u, flows, floor, weight)
+        except WindowTooSmall:
+            assume(False)
+        assert time_shift(tau_function(u), flows, weight) == want
+
+    def test_constant_section_is_rational(self):
+        u = FramePoint.from_gens([mono(-2), mono(1)], 4, W)
+        t, section = time_shift(tau_function(u), {1: Fraction(1, 3), 3: "b"},
+                                4)
+        assert type(section) is Fraction and section == flowed_tau(
+            u, {1: Fraction(1, 3), 3: "b"}, -8, 4)[1]
 
 
 def residues(u, weight):

@@ -26,7 +26,7 @@ from .io import (
     point_from_json,
     to_json,
 )
-from .krichever import orbit_profile, p0_membership, span_closure
+from .krichever import UNCERTIFIED, orbit_profile, p0_membership, span_closure
 from .linalg import det_field
 from .pfaffian import pfaffian, section_square_check
 from .tau import (
@@ -90,21 +90,21 @@ def cmd_check(obj, args):
         return rep, checks
 
     data, win = curve_from_json(obj, _win(args))
-    u = span_closure(data, win)
-    rep = {"kind": "curve", "label": data.label, **_point_report(u)}
-    if u.exact:
-        checks.append(_check("closure-certified", True,
-                             "monomial tail certified inside the window"))
-        prym = p0_membership(u)
-        rep["ring"] = prym.ring
-        if not data.module_gens:
-            checks.append(_check(
-                "ring-closed", prym.ring,
-                "span of the ring generators is multiplicatively closed"))
-        rep["prym"] = prym._asdict()
-    else:
-        checks.append(_skip("closure-certified",
-                            "window-approximate tail; widen the window"))
+    rep = {"kind": "curve", "label": data.label, "window": list(win)}
+    try:
+        u = span_closure(data, win)
+    except WindowTooSmall as exc:
+        if str(exc) != UNCERTIFIED:
+            raise
+        return rep, [_skip("closure-certified", UNCERTIFIED)]
+    prym = p0_membership(u)
+    rep.update(_point_report(u), ring=prym.ring, prym=prym._asdict())
+    checks.append(_check("closure-certified", True,
+                         "monomial tail certified inside the window"))
+    if not data.module_gens:
+        checks.append(_check(
+            "ring-closed", prym.ring,
+            "span of the ring generators is multiplicatively closed"))
     return rep, checks
 
 
@@ -188,8 +188,6 @@ def cmd_orbit(obj, args):
     if obj["kind"] == "curve":
         data, win = curve_from_json(obj, _win(args))
         u = span_closure(data, win)
-        if not u.exact:
-            raise WindowTooSmall("window-approximate tail; widen the window")
     else:
         u = point_from_json(obj, _win(args))
     prof = orbit_profile(u, nmax=args.nmax, odd_only=args.odd)
@@ -310,9 +308,9 @@ _COMMANDS = {
 # steeply past them (one Xeon core): bilinear on the 3-row point takes 2 s
 # at weight 24 and 18 s at 32; each maxsize step costs about four times the
 # last, seconds and megabytes at 6; orbit on <3,4,5> takes 1.3 s at nmax 64
-# and 4 s at 96; at window radius 64 the slowest command is orbit --nmax 64
-# on the one-row point {-1: 1, 0: 2} over tail 1 (1.6 s), while tau on that
-# point takes 8 s at the window [-2000, 8] (io bounds file windows alike)
+# and 4 s at 96; the window bounds curve spans alone: orbit on the ring of
+# z^-1..z^-4 takes 0.85 s at radius 64, its span 11 s at 128 (io bounds
+# file windows alike)
 _OPTIONS = {
     "weight": (8, (0, 24), "W", "weight bound for series and polynomials"),
     "maxsize": (4, (0, 6), "N", "largest diagram weight in the suite"),

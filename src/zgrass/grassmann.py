@@ -12,21 +12,21 @@ len(rows) - tail_j.
 
 Exact points keep a canonical reduced frame: pivots are the row valuations,
 rows are monic at their pivot, supported above -tail_j, cross-reduced at each
-other's pivots, and trailing monomial rows are absorbed into the tail.  Flowed
-points are window-approximate instead: their rows are verbatim products (not
-re-normalized -- minor values along an orbit must pull back unscaled), their
-declared pivots are bookkeeping rather than valuations, and a minor refuses
-to sample below the depth at which the stored rows stop being true, or past
-the rows the window let the flow write out.  Minors, Baker rows and
-stabilizer conditions all read FramePoint.basis: the explicit rows, then the
-tail monomials z^-(tail_j+1), z^-(tail_j+2), ....  FramePoint.plucker is the
-one coordinate, a minor of the basis; FramePoint.pluckers reads many off one
-reduction of the rows.
+other's pivots, and trailing monomial rows are absorbed into the tail; they
+read no window.  Minors, Baker rows and stabilizer conditions all read
+FramePoint.basis: the explicit rows, then the tail monomials z^-(tail_j+1),
+z^-(tail_j+2), ....  FramePoint.plucker is the one coordinate, a minor of the
+basis; FramePoint.pluckers reads many off one reduction of the rows.
 
-The window (lo, hi) is an inclusive exponent range; its floor decides how
-much of a tail a flow writes out as explicit rows, and computations that
-would need data the window never certified raise WindowTooSmall rather than
-return a number.  An exact frame's minors do not depend on its window.
+A flow by a non-monomial unit gives a window-approximate point instead: its
+rows are verbatim products (not re-normalized -- minor values along an orbit
+must pull back unscaled), its declared pivots are bookkeeping rather than
+valuations, and a minor raises WindowTooSmall rather than sample below the
+depth at which the stored rows stop being true, or past the rows the window
+(lo, hi), an inclusive exponent range, let the flow write out.  No command
+builds one: that branch of flow, row_floor, the refusal in minor and the
+window stay for the benchmark's answer check (perfbench/workloads.py,
+_check_tau), which reads the vacuum minor of a point flowed to its floor.
 
 The one involution frames know is the sign flip z -> -z (LaurentSeries.flip):
 it maps monomials to monomials, so isotropy and invariance stay exact, and the
@@ -382,7 +382,7 @@ class FramePoint:
         """
         maxtop = max((r.top for r in self.rows), default=-1 - self.tail_j)
         floor_e = -1 - maxtop
-        if floor_e < self.window[0]:
+        if not self.exact and floor_e < self.window[0]:
             raise WindowTooSmall("complement tail starts below the window")
         cut = [r.drop_below(-self.tail_j).coeffs for r in self.rows]
         rows = [LaurentSeries({-1 - x: c for x, c in v.items()})
@@ -463,18 +463,18 @@ class FramePoint:
         return we, wo
 
 
-def is_prym_flow(g):
-    """Whether g is a flow along the involution locus: g(z) g(-z) = 1 on
-    the exponents the data certify, val(g) + top(g) and up, so a truncated
-    odd exponential passes and 1 + a z fails.  Only products landing there
+def is_prym_flow(g, floor):
+    """Whether g, cut below the exponent floor (an uncut g: its valuation),
+    is a flow along the involution locus: g(z) g(-z) = 1 on the exponents
+    the data certify, floor + top(g) and up.  Only products landing there
     are formed (tests/frame_oracles.py keeps the whole product).  No src/
     module calls it, since family-square reads the flow exponents; the
     benchmark's tracer (perfbench/tracer.py) binds it by name."""
-    floor = g.valuation() + g.top
-    defect = {0: -1} if floor <= 0 else {}
+    start = floor + g.top
+    defect = {0: -1} if start <= 0 else {}
     flipped = g.flip().coeffs.items()
     for e1, c1 in g.coeffs.items():
         for e2, c2 in flipped:
-            if (e := e1 + e2) >= floor:
+            if (e := e1 + e2) >= start:
                 defect[e] = defect.get(e, 0) + c1 * c2
     return not any(defect.values())

@@ -23,8 +23,8 @@ A family flow value is either an exact rational or the name of a formal
 coefficient family ("a" above); the name "t" is reserved for the times.
 Exponent keys are spelled canonically ("1", "-2"; not "01", "+1" or "-0"),
 no object repeats a key, a window lies in -64..64 (as the --window radius
-does), a point's tail in 0..4096, a family's floor in -48..-1, and a matrix
-has at most 64 rows.
+does), a point's tail in 0..4096 and a series exponent in -4096..4096, a
+family's floor in -48..-1, and a matrix has at most 64 rows.
 """
 
 import json
@@ -82,6 +82,8 @@ def series_from_json(obj):
     if not isinstance(obj, dict):
         raise ParseError(f"a series is an object of exponent: value, got {obj!r}")
     coeffs = {_int_key(e, "exponent"): parse_frac(c) for e, c in obj.items()}
+    if bad := [e for e in coeffs if not -4096 <= e <= 4096]:
+        raise ParseError(f"exponent must be between -4096 and 4096, got {bad[0]}")
     return LaurentSeries(coeffs)
 
 
@@ -145,9 +147,9 @@ def point_from_json(obj, window):
     if not isinstance(gens, list):
         raise ParseError("a point file needs a list of generators under 'gens'")
     tail = obj.get("tail")
-    # bounds the cost: on the one-row point {-1: 1, 0: 2} at tail 4096,
-    # check, baker and bilinear take 0.01-0.03 s, hierarchy 0.1 s, tau and
-    # orbit under 0.01 s (in process, one Xeon core)
+    # bounds the cost, with the exponents: at tail 4096 check takes 1.2 s
+    # (its complement's complement), 3 s on {0: 1, 4096: 1}, and baker and
+    # bilinear 0.2 s there (whole process, one Xeon core)
     if type(tail) is not int or not 0 <= tail <= 4096:
         raise ParseError(
             f"'tail' must be an integer between 0 and 4096, got {tail!r}")

@@ -8,8 +8,8 @@ achieves, and look for an unbroken run of orders long enough that one
 generator can walk it forward indefinitely.  When every order in the run
 is achieved by an exact monomial and the resulting frame is closed under
 multiplication by the generators, the frame is the span, exactly.  If the
-monomial check fails, the span within the window is returned as an
-approximate frame; if no run can be certified at all, NotClosed.
+monomial check fails, WindowTooSmall (UNCERTIFIED); if no run can be
+certified at all, NotClosed.
 
 Other direction: diagnostics that recognize frames of ring origin --
 multiplicative closure, the stabilizer ring of a point, the dimension
@@ -34,6 +34,9 @@ from .errors import (
 from .grassmann import DEFAULT_WINDOW, FramePoint
 from .linalg import echelon, kernel
 from .series import LaurentSeries
+
+
+UNCERTIFIED = "window-approximate tail; widen the window"
 
 
 class CurveData(NamedTuple):
@@ -88,10 +91,10 @@ def span_closure(gens, window=DEFAULT_WINDOW, module_gens=()):
     """Frame of the span of the ring (or module) generated below the window.
 
     Returns an exact frame when the window certifies the monomial tail and
-    the frame is closed under the generators; an approximate frame (rows
-    certified above the window floor only) when the span provably differs
-    from any monomial-tail form within view; raises NotClosed when the
-    achieved pole orders never run long enough to certify anything.
+    the frame is closed under the generators; raises WindowTooSmall
+    (UNCERTIFIED) when the span differs from every monomial-tail form
+    within view, and NotClosed when the achieved pole orders never run long
+    enough to certify anything.
     """
     if isinstance(gens, CurveData):
         module_gens = gens.module_gens or ()
@@ -105,8 +108,7 @@ def span_closure(gens, window=DEFAULT_WINDOW, module_gens=()):
         if not g or g.valuation() >= 0:
             raise ZgrassError("ring generators must have a pole")
     mods = list(module_gens) or [LaurentSeries.one()]
-    lo, hi = int(window[0]), int(window[1])
-    depth = -lo
+    depth = -int(window[0])
     products = []
     for m in mods:
         if not isinstance(m, LaurentSeries) or not m.exact or not m:
@@ -129,21 +131,15 @@ def span_closure(gens, window=DEFAULT_WINDOW, module_gens=()):
             f"achieved orders run [{jstar}, {top}], shorter than the "
             f"certification length {need}; widen the window"
         )
-    clean = all(
-        full.contains(LaurentSeries.monomial(-j))
-        for j in range(jstar, top + 1)
-    )
-    if clean:
+    if all(full.contains(LaurentSeries.monomial(-j))
+           for j in range(jstar, top + 1)):
         # full spans the products modulo the deeper tail, so its rows span
         # the same subspace as the products modulo z^-jstar
-        point = FramePoint.from_gens(
-            full.rows, jstar - 1, window, allow_dependent=True
-        )
+        point = FramePoint.from_gens(full.rows, jstar - 1, window,
+                                     allow_dependent=True)
         if _closed_under(point, gens):
             return point
-    return FramePoint(
-        full.rows, full.pivots, full.tail_j, window, exact=False, row_floor=lo
-    )
+    raise WindowTooSmall(UNCERTIFIED)
 
 
 # -- recognizing ring points ---------------------------------------------------

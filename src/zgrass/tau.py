@@ -2,9 +2,9 @@
 
 The tau polynomial of a point collects its minors against the Schur basis
 in the times t: tau_U = sum of plucker(lam) * schur_lam over the partitions
-plucker_support picks -- an explicit box for an exact frame, pruned to the
-weight cap the caller reads.  The universal flow exp(sum t_k z^-k) turns
-the vacuum minor into tau, a consistency callers check; so a flow by
+plucker_support picks -- the box of an exact frame, pruned to the weight cap
+the caller reads.  The universal flow exp(sum t_k z^-k) turns the vacuum
+minor into tau, which callers check on one block of the rows; a flow by
 g = exp(sum c_k z^-k) shifts the times (Segal-Wilson 1985): tau_gU(t) is
 tau_U(t + c), and the vacuum minor of gU is tau_U(c) (time_shift).
 
@@ -29,11 +29,11 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import OddParity, ZgrassError
+from .grassmann import _det
 from .series import LaurentSeries, pair_std
 from .symfun import (
     TimePolynomial,
     partitions_in_box,
-    partitions_upto,
     schur,
     schur_p,
     sqrt_series,
@@ -44,32 +44,26 @@ from .symfun import (
 
 
 def plucker_support(u, cap=None):
-    """The (partition, coordinate) pairs tau sums over, through the cap.
+    """The nonzero (partition, coordinate) pairs of an exact frame, through
+    the cap; an approximate frame has no box and is refused.
 
-    For an exact frame these are the nonzero coordinates.  A nonzero minor
-    must match every implicit tail row with its own column and sample
-    columns inside the row support, so the support lives in the box of at
-    most len(rows) parts, each at most maxtop + 1 - charge; the box is
-    enumerated only to weight cap.  An approximate frame has no box: it
-    takes every partition up to the cap, which it therefore requires.  The
-    coordinates come off one reduction of the frame (FramePoint.pluckers),
-    and a partition the frame cannot certify refuses before any is formed.
+    A nonzero minor must match every implicit tail row with its own column
+    and sample columns inside the row support, so the support lives in the
+    box of at most len(rows) parts, each at most maxtop + 1 - charge,
+    enumerated only to weight cap, and read off one reduction (pluckers).
     """
-    if u.exact:
-        width = max((r.top for r in u.rows), default=0) + 1 - u.charge
-        lams = partitions_in_box(len(u.rows), width, cap)
-    elif cap is None:
-        raise ZgrassError("tau of an approximate frame needs a weight cap")
-    else:
-        lams = partitions_upto(cap)
+    if not u.exact:
+        raise ZgrassError("tau needs an exact frame")
+    width = max((r.top for r in u.rows), default=0) + 1 - u.charge
+    lams = partitions_in_box(len(u.rows), width, cap)
     return [(lam, v) for lam, v in zip(lams, u.pluckers(lams)) if v]
 
 
 def tau_function(u, cap=None):
     """The tau polynomial sum of plucker(lam) * schur_lam, through the cap.
 
-    The sum runs over plucker_support(u, cap): exact when cap is None (exact
-    frames only), and known through weight cap otherwise.
+    The sum runs over plucker_support(u, cap): exact when cap is None, and
+    known through weight cap otherwise.
     """
     return tsum((schur(lam.parts) * v for lam, v in plucker_support(u, cap)),
                 cap)
@@ -101,7 +95,8 @@ def times_flow(cap, floor):
 
     The z^-n coefficient is the complete homogeneous generating polynomial
     p_n of the times, which has weight n; since p_n is homogeneous, every
-    coefficient past the cap is dropped entirely.
+    coefficient past the cap is dropped entirely.  Only the benchmark's
+    answer check (perfbench/workloads.py, _check_tau) cuts above -cap.
     """
     deep = min(cap, -floor)
     return LaurentSeries(
@@ -110,17 +105,24 @@ def times_flow(cap, floor):
 
 
 def tau_flow_consistency(u, cap):
-    """The vacuum minor after the universal flow, known through the cap.
+    """The vacuum minor of the exact point flowed by exp(sum t_k z^-k),
+    known through the cap (lifted into the capped ring when rational): it
+    equals tau_function(u).with_cap(cap).
 
-    It equals tau_function(u).with_cap(cap): flowing the point by
-    exp(sum t_k z^-k) turns its vacuum minor into its tau.  A rational
-    minor is lifted into the capped ring, so both sides compare as
-    polynomials known through the same weight.
+    Capped, the flow is G = 1 + p_1 z^-1 + ... + p_cap z^-cap.  The flowed
+    basis is the m rows times G, then z^-j G for j > tail_j, sampled at the
+    columns charge - 1, charge - 2, ..., whose first m run down to -tail_j.
+    z^-j G is 1 at -j and zero above, so the tail rows vanish on those m
+    columns and are unit triangular on the rest: the minor is block
+    triangular, the m-square block of the rows times G there at any window.
     """
-    minor = u.flow(times_flow(cap, u.window[0])).plucker(())
-    if not isinstance(minor, TimePolynomial):
-        minor = tconst(minor).with_cap(cap)
-    return minor
+    if not u.exact:
+        raise ZgrassError("the flow check needs an exact frame")
+    g, cols = times_flow(cap, -cap), range(u.charge - 1, -u.tail_j - 1, -1)
+    minor = _det([[row.get(c, Fraction(0)) for c in cols]
+                  for row in ((r * g).coeffs for r in u.rows)])
+    return (minor if isinstance(minor, TimePolynomial)
+            else tconst(minor).with_cap(cap))
 
 
 def odd_part(tau):

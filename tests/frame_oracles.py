@@ -10,7 +10,11 @@ the residue complement by a dense nullspace and a second elimination, and
 echelon_calls counts the rows of every echelon pass.  prym_flow_full is the
 Prym-flow test on the whole product g(z) g(-z).  flow_exponential and
 flowed_tau flow a point by a family's exponential, the route `zgrass
-family-square` took before it read flows as time shifts.  hirota forms the
+family-square` took before it read flows as time shifts; flowed_frame_tau
+sums a flowed frame's coordinates into its tau, which tau.plucker_support
+refuses, and flowed_vacuum_minor flows a point by the universal exponential,
+the route `zgrass tau`'s flow check took before it read one block of the
+rows.  hirota forms the
 Hirota bilinear derivative D^alpha tau.tau and kp_defect the left side of the
 KP equation in Hirota form, an oracle for tau polynomials that uses only
 TimePolynomial.differentiate.
@@ -27,8 +31,16 @@ from zgrass.grassmann import DEFAULT_WINDOW, FramePoint, _chart_columns
 from zgrass.linalg import det_field, echelon, nullspace
 from zgrass.pfaffian import pfaffian
 from zgrass.series import LaurentSeries, exp_floor, pair_sigma
-from zgrass.symfun import Partition, TimePolynomial, tvar
-from zgrass.tau import tau_function
+from zgrass.symfun import (
+    Partition,
+    TimePolynomial,
+    partitions_upto,
+    schur,
+    tconst,
+    tsum,
+    tvar,
+)
+from zgrass.tau import times_flow
 
 
 def flipped(u):
@@ -45,10 +57,11 @@ def nullspace_complement(u):
     """FramePoint.orthogonal as it was before it read its frame off one
     sparse kernel: the dense kernel of the pairing matrix over the exponents
     e in [floor, tail_j), then from_gens on its vectors; kept as an
-    oracle."""
+    oracle.  As orthogonal, it reads the window of an approximate frame
+    only."""
     J = u.tail_j
     floor_e = -(max(r.top for r in u.rows) + 1) if u.rows else J
-    if floor_e < u.window[0]:
+    if not u.exact and floor_e < u.window[0]:
         raise WindowTooSmall("complement tail starts below the window")
     cand = range(floor_e, J)
     mat = [[row.coeffs.get(-1 - e, Fraction(0)) for e in cand]
@@ -59,16 +72,12 @@ def nullspace_complement(u):
     return FramePoint(w.rows, w.pivots, w.tail_j, w.window, exact=u.exact)
 
 
-def prym_flow_full(g):
+def prym_flow_full(g, floor):
     """grassmann.is_prym_flow as it was before it formed only the exponents
     it reads: the whole defect g(z) g(-z) - 1, required to vanish from
-    val(g) + top(g) up; kept as an oracle."""
+    floor + top(g) up, for g cut at the floor; kept as an oracle."""
     defect = g * g.flip() - 1
-    if not defect.coeffs:
-        return True
-    v = g.valuation()
-    t = g.top
-    return all(e < v + t for e in defect.coeffs)
+    return all(e < floor + g.top for e in defect.coeffs)
 
 
 def flow_exponential(flows, floor):
@@ -84,16 +93,38 @@ def flowed_tau(base, flows, floor, weight):
     """(tau through the weight, vacuum minor) of the base flowed by
     flow_exponential(flows, floor) in the window (floor, -floor), as `zgrass
     family-square` computed them before it read flows as time shifts: the
-    tau off the flow with every coefficient capped at the weight.  Both
-    equal tau.time_shift's when the base's tau box weight is at most
-    -floor; a weight above -floor + charge raises WindowTooSmall."""
+    tau off the flow with every coefficient capped at the weight, summed by
+    flowed_frame_tau.  Both equal tau.time_shift's when the base's tau box
+    weight is at most -floor; a weight above -floor + charge raises
+    WindowTooSmall."""
     start = FramePoint(base.rows, base.pivots, base.tail_j, (floor, -floor))
     g = flow_exponential(flows, floor)
-    capped = LaurentSeries({
+    moved = start.flow(LaurentSeries({
         e: c.with_cap(weight) if isinstance(c, TimePolynomial) else c
-        for e, c in g.coeffs.items()})
-    return (tau_function(start.flow(capped), weight),
-            start.flow(g).plucker(()))
+        for e, c in g.coeffs.items()}))
+    return flowed_frame_tau(moved, weight), start.flow(g).plucker(())
+
+
+def flowed_frame_tau(u, cap):
+    """sum schur(lam) * u.plucker(lam) over every partition through the
+    cap: the tau of a flowed frame, known through the cap, which
+    tau.plucker_support refuses since such a frame has no support box."""
+    return tsum((schur(lam.parts) * v for lam in partitions_upto(cap)
+                 if (v := u.plucker(lam))), cap)
+
+
+def flowed_vacuum_minor(u, cap):
+    """tau.tau_flow_consistency as it was before it read one block of the
+    rows: the vacuum minor of the exact point u flowed by the universal
+    exp(sum t_k z^-k), cut at a window floor at most -cap so that no
+    coefficient through the cap is dropped, a rational minor lifted into
+    the capped ring; kept as an oracle."""
+    floor = min(u.window[0], -cap)
+    start = FramePoint(u.rows, u.pivots, u.tail_j, (floor, u.window[1]))
+    minor = start.flow(times_flow(cap, floor)).plucker(())
+    if isinstance(minor, TimePolynomial):
+        return minor
+    return tconst(minor).with_cap(cap)
 
 
 def echelon_calls(monkeypatch):

@@ -42,6 +42,7 @@ from frame_oracles import (
     evaluate,
     exchange_defect,
     flipped,
+    flowed_frame_tau,
 )
 
 ONE = LaurentSeries({0: Fraction(1)})
@@ -320,7 +321,7 @@ def test_orthogonality_and_isotropy_geometry():
     for u in isotropic:
         g = exp_floor(series({-1: 2, -3: Fraction(1, 2), -5: 1}),
                       u.window[0])
-        assert is_prym_flow(g)
+        assert is_prym_flow(g, u.window[0])
         assert u.flow(g).isotropy().isotropic
         bad = u.flow(series({0: 1, 1: 1}))
         assert not bad.isotropy().isotropic
@@ -338,7 +339,7 @@ def test_family_square_structure():
     win = (-13, 8)
     flows = LaurentSeries({-1: tvar(1, "a"), -3: tvar(3, "a")})
     g = exp_floor(flows, win[0])
-    assert is_prym_flow(g)
+    assert is_prym_flow(g, win[0])
     vacuum = FramePoint((), (), 0, win)
     section = vacuum.flow(g).plucker(())
     assert section == tconst(1)
@@ -354,7 +355,7 @@ def test_family_square_structure():
     })
     pencil = FramePoint.from_gens([series({-1: 1, 0: 1})], 1, win)
     assert pencil.isotropy().parity == 0
-    tau = tau_function(pencil.flow(g8), cap=8)
+    tau = flowed_frame_tau(pencil.flow(g8), 8)
     nf = taubar(tau, 8)
     assert nf.scale == 1
     assert not (nf.root * nf.root * nf.scale - odd_part(tau))

@@ -96,6 +96,17 @@ class TestFractions:
 
 
 class TestCheck:
+    @pytest.mark.parametrize("obj", [
+        dict(PENCIL, gens=[{"-1": "1", "0": "2"}], tail=9),
+        dict(THREE_ROW, tail=4096, window=[-64, 64]),
+    ], ids=["one-row-tail9", "three-row-tail4096"])
+    def test_exact_complement_reads_no_window(self, tmp_path, capsys, obj):
+        """The complement's complement reaches below the file window; an
+        exact point's complement reads no window."""
+        code, rep = run(tmp_path, obj, "check", capsys=capsys)
+        assert code == 0 and names(rep, "pass") == ["dual-charge",
+                                                    "biduality"]
+
     def test_cusp_point(self, tmp_path, capsys):
         code, rep = run(tmp_path, CUSP, "check", capsys=capsys)
         assert code == 0 and rep["ok"]
@@ -390,6 +401,24 @@ class TestOptions:
                         capsys=capsys)
         assert code == 0
 
+    def test_exponent_range(self, tmp_path, capsys):
+        """Series exponents share the tail's range, in every series a file
+        holds; 4096 and -4096 are read."""
+        for e in (4097, -4097, 5000):
+            bad = [{"0": "1", str(e): "1"}]
+            for obj, cmd in ((dict(CUSP, gens=bad), "tau"),
+                             (dict(CURVE, ring_gens=[{"-2": "1"}, *bad]),
+                              "check"),
+                             (dict(TWO_FAMILY, base={"gens": bad, "tail": 1}),
+                              "family-square")):
+                code, rep = run(tmp_path, obj, cmd, capsys=capsys)
+                assert code == 2
+                assert rep["error"] == ("ParseError: exponent must be between "
+                                        f"-4096 and 4096, got {e}")
+        obj = dict(CUSP, gens=[{"4096": "1"}, {"-4096": "1"}], tail=4096)
+        code, rep = run(tmp_path, obj, "tau", "--weight", "2", capsys=capsys)
+        assert code == 0
+
     def test_matrix_size_range(self, tmp_path, capsys):
         def blocks(n):
             """n x n alternating matrix of 2 x 2 blocks [[0, 1], [-1, 0]]."""
@@ -436,6 +465,9 @@ class TestOrbitCommand:
         code, rep = run(tmp_path, curve, "check", capsys=capsys)
         assert code == 0 and names(rep, "skipped") == ["closure-certified"]
         assert [c["detail"] for c in rep["checks"]] == [reason]
+        # the span is refused, so no frame field is reported
+        assert rep["report"] == {"kind": "curve", "label": "",
+                                 "window": [-6, 6]}
         code, rep = run(tmp_path, curve, "orbit", capsys=capsys)
         assert code == 2
         assert rep["error"] == f"WindowTooSmall: {reason}"
@@ -617,80 +649,119 @@ class TestFamilySquare:
             "ParseError: base tau box weight 25 is above the bound 24")
 
 
+# name, input, argv, exit code of every report pinned under tests/data/golden
+GOLDENS = [
+    ("bilinear_cusp", CUSP, ["bilinear"], 0),
+    ("bilinear_cusp_w3", CUSP, ["bilinear", "--weight", "3"], 0),
+    ("bilinear_three_row", THREE_ROW, ["bilinear"], 0),
+    # the 3-row point's sign obstruction sits at weight 4: skipped at 3
+    ("bilinear_three_row_w3", THREE_ROW, ["bilinear", "--weight", "3"], 0),
+    ("baker_three_row", THREE_ROW, ["baker"], 0),
+    ("check_curve_2_5", CURVE_2_5, ["check"], 0),
+    ("family_square_two", TWO_FAMILY,
+     ["family-square", "--weight", "6"], 0),
+    ("tau_three_row", THREE_ROW, ["tau"], 0),
+    ("orbit_three_row", THREE_ROW, ["orbit"], 0),
+    ("orbit_odd_curve_2_5", CURVE_2_5, ["orbit", "--odd"], 0),
+    ("pfaffian_six", SIX_BY_SIX, ["pfaffian"], 0),
+    # isotropy, sign-invariance and biduality on charge-0 points
+    ("check_cusp", CUSP, ["check"], 0),
+    ("check_pencil", PENCIL, ["check"], 0),
+    ("check_three_row", THREE_ROW, ["check"], 0),
+    # every GR0, P0TRIPLE and CURVE value with diagrams up to weight 2
+    ("hierarchy_cusp", CUSP, ["hierarchy", "--maxsize", "2"], 0),
+    ("hierarchy_three_row", THREE_ROW, ["hierarchy", "--maxsize", "2"], 1),
+    ("family_square_parity0", PARITY0_FAMILY,
+     ["family-square", "--weight", "4"], 0),
+]
+
+
 class TestGoldenReports:
     """Reports pinned byte for byte under tests/data/golden."""
 
-    @pytest.mark.parametrize("name, obj, argv, code", [
-        ("bilinear_cusp", CUSP, ["bilinear"], 0),
-        ("bilinear_cusp_w3", CUSP, ["bilinear", "--weight", "3"], 0),
-        ("bilinear_three_row", THREE_ROW, ["bilinear"], 0),
-        # the 3-row point's sign obstruction sits at weight 4: skipped at 3
-        ("bilinear_three_row_w3", THREE_ROW, ["bilinear", "--weight", "3"], 0),
-        ("baker_three_row", THREE_ROW, ["baker"], 0),
-        ("check_curve_2_5", CURVE_2_5, ["check"], 0),
-        ("family_square_two", TWO_FAMILY,
-         ["family-square", "--weight", "6"], 0),
-        ("tau_three_row", THREE_ROW, ["tau"], 0),
-        ("orbit_three_row", THREE_ROW, ["orbit"], 0),
-        ("orbit_odd_curve_2_5", CURVE_2_5, ["orbit", "--odd"], 0),
-        ("pfaffian_six", SIX_BY_SIX, ["pfaffian"], 0),
-        # isotropy, sign-invariance and biduality on charge-0 points
-        ("check_cusp", CUSP, ["check"], 0),
-        ("check_pencil", PENCIL, ["check"], 0),
-        ("check_three_row", THREE_ROW, ["check"], 0),
-        # every GR0, P0TRIPLE and CURVE value with diagrams up to weight 2
-        ("hierarchy_cusp", CUSP, ["hierarchy", "--maxsize", "2"], 0),
-        ("hierarchy_three_row", THREE_ROW, ["hierarchy", "--maxsize", "2"], 1),
-        ("family_square_parity0", PARITY0_FAMILY,
-         ["family-square", "--weight", "4"], 0),
-    ])
+    @pytest.mark.parametrize("name, obj, argv, code", GOLDENS)
     def test_report(self, tmp_path, capsys, name, obj, argv, code):
         path = tmp_path / "input.json"
         path.write_text(json.dumps(obj))
         assert main([argv[0], str(path), *argv[1:]]) == code
         assert capsys.readouterr().out == (GOLDEN / f"{name}.json").read_text()
 
+    def test_no_command_flows_by_a_non_monomial_unit(self, tmp_path, capsys,
+                                                     monkeypatch):
+        """A non-monomial flow is the one way to an approximate frame, and
+        no command takes it: every golden comes out the same with such a
+        flow refused, and every point command answers the 3-row point."""
+        flow = FramePoint.flow
+
+        def monomial_only(self, g):
+            if len(g.coeffs) != 1:
+                raise AssertionError(f"flow by the non-monomial unit {g!r}")
+            return flow(self, g)
+
+        monkeypatch.setattr(FramePoint, "flow", monomial_only)
+        for name, obj, argv, code in GOLDENS:
+            path = tmp_path / "input.json"
+            path.write_text(json.dumps(obj))
+            assert main([argv[0], str(path), *argv[1:]]) == code, name
+            assert capsys.readouterr().out == (
+                GOLDEN / f"{name}.json").read_text(), name
+        for cmd in ("check", "tau", "baker", "bilinear", "hierarchy",
+                    "orbit"):
+            code, rep = run(tmp_path, THREE_ROW, cmd, capsys=capsys)
+            assert code in (0, 1) and "report" in rep, cmd
+
 
 def test_tau_work_on_three_row_point(tmp_path, capsys, monkeypatch):
     """One tau per request, to the weight the report prints: the
     flow-consistency check reads the tau the report prints, so the support
-    box is swept once, through --weight, its coordinates come off one
-    reduction, and the one minor of the request is the check's vacuum minor
-    of the flowed frame."""
-    sweeps, reads = [], []
-    support, minor = tau.plucker_support, FramePoint.minor
+    box is swept once, through --weight, and its coordinates come off one
+    reduction.  The check flows no frame and reads no minor: its vacuum
+    minor is one block of the rows."""
+    sweeps = []
+    support = tau.plucker_support
 
     def counting_support(u, cap=None):
         sweeps.append(cap)
         return support(u, cap)
 
-    def recording_minor(self, cols):
-        reads.append((self, tuple(cols)))
-        return minor(self, cols)
+    def refuse(*args):
+        raise AssertionError("a tau request flowed a frame or read a minor")
 
     monkeypatch.setattr(tau, "plucker_support", counting_support)
-    monkeypatch.setattr(FramePoint, "minor", recording_minor)
+    monkeypatch.setattr(FramePoint, "flow", refuse)
+    monkeypatch.setattr(FramePoint, "minor", refuse)
     code, rep = run(tmp_path, THREE_ROW, "tau", capsys=capsys)
     assert code == 0 and rep["report"]["tau"]["terms"]
     assert sweeps == [8]
-    [(frame, cols)] = reads
-    assert not frame.exact
-    assert cols == tuple(frame.charge - i for i in range(1, len(frame.rows) + 1))
+
+
+# rows z^-1 + 3 z^2 and z over tail 2: at the window radii 1 and 2 a flow
+# cut at the window floor drops p_3 and p_4 of the weight-4 check
+TWO_ROW = {"kind": "point", "gens": [{"-1": "1", "2": "3"}, {"1": "1"}],
+           "tail": 2}
+
+
+@pytest.mark.parametrize("radius", ["1", "2"])
+def test_tau_check_reads_no_window(tmp_path, capsys, radius):
+    code, rep = run(tmp_path, TWO_ROW, "tau", "--window", radius,
+                    capsys=capsys)
+    assert code == 0 and names(rep, "pass") == ["flow-consistency"]
 
 
 # {-1: 1, 0: 2} over tail 40: support (39) and (40), past every cap
 TAIL_40 = {"kind": "point", "gens": [{"-1": "1", "0": "2"}], "tail": 40,
            "window": [-8, 8]}
-# a generator reaching exponent 5000: a support box 5001 wide
-EXPONENT_5000 = {"kind": "point", "gens": [{"0": "1", "5000": "1"}],
+# a generator reaching exponent 4096, the largest io reads: a support box
+# 4097 wide
+EXPONENT_4096 = {"kind": "point", "gens": [{"0": "1", "4096": "1"}],
                  "tail": 1, "window": [-8, 8]}
 
 
 @pytest.mark.parametrize("obj, argv, cap", [
     (TAIL_40, ["tau", "--weight", "4"], 4),
     (TAIL_40, ["hierarchy", "--maxsize", "2"], 8),
-    (EXPONENT_5000, ["tau", "--weight", "2"], 2),
-], ids=["tail40-tau", "tail40-hierarchy", "exponent5000-tau"])
+    (EXPONENT_4096, ["tau", "--weight", "2"], 2),
+], ids=["tail40-tau", "tail40-hierarchy", "exponent4096-tau"])
 def test_work_bounded_by_the_weight_read(tmp_path, capsys, monkeypatch,
                                          obj, argv, cap):
     """Tau is built only to the weight its caller reads (--weight, or
@@ -721,8 +792,8 @@ def test_work_bounded_by_the_weight_read(tmp_path, capsys, monkeypatch,
     assert code == 0 and rep["ok"]
     assert max(schurs, default=0) <= cap
     assert coords and max(coords) <= cap
-    # the pruned support box, plus the flowed vacuum minor of tau's check
-    assert len(coords) <= len(partitions_upto(cap)) + 1
+    # the pruned support box; tau's check reads no coordinate
+    assert len(coords) <= len(partitions_upto(cap))
 
 
 def test_bilinear_work_on_three_row_point(tmp_path, capsys, monkeypatch):

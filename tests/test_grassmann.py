@@ -1,7 +1,9 @@
+import ast
 import importlib
 import inspect
 import pkgutil
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,6 +20,7 @@ from zgrass.errors import (
     ZgrassError,
 )
 from zgrass.grassmann import FramePoint, is_prym_flow
+from zgrass.krichever import stabilizer
 from zgrass.linalg import unit_reduce
 from zgrass.series import LaurentSeries, exp_floor, pair_sigma
 from zgrass.symfun import (
@@ -28,7 +31,7 @@ from zgrass.symfun import (
     tconst,
     tvar,
 )
-from zgrass.tau import times_flow
+from zgrass.tau import tau_flow_consistency, tau_function, times_flow
 
 from frame_oracles import (
     assemble_even_odd,
@@ -346,7 +349,7 @@ class TestIsotropy:
 
     def test_odd_exponential_preserves_isotropy(self):
         g = exp_floor(series({-1: 1, -3: Fraction(1, 2)}), -8)
-        assert is_prym_flow(g)
+        assert is_prym_flow(g, -8)
         rep = cusp().flow(g).isotropy()
         assert rep.isotropic
         assert rep.parity == 1
@@ -535,39 +538,54 @@ class TestEchelonOracles:
 
 @st.composite
 def prym_candidates(draw):
-    """Odd exponentials, rational or in a family, cut at any floor; 1 + a z;
-    rational flows; and the even exponential exp(z^-2) cut at -6."""
+    """(g, the floor g was cut at): odd exponentials, rational or in a
+    family, cut at any floor; 1 + a z; rational flows; and the even
+    exponential exp(z^-2) cut at -6.  A g that nothing cut has its valuation
+    as its floor."""
     kind = draw(st.sampled_from(("odd", "linear", "rational", "even")))
     if kind == "odd":
         coeff = st.one_of(COEFFS, st.just(tvar(1, "a")))
         u = series({-k: draw(coeff) for k in (1, 3, 5)})
-        return exp_floor(u, draw(st.integers(-12, -1)))
+        floor = draw(st.integers(-12, -1))
+        return exp_floor(u, floor), floor
     if kind == "linear":
-        return series({0: 1, 1: draw(COEFFS)})
-    if kind == "rational":
-        return draw(rational_flows())
-    return exp_floor(mono(-2), -6)
+        g = series({0: 1, 1: draw(COEFFS)})
+    elif kind == "rational":
+        g = draw(rational_flows())
+    else:
+        return exp_floor(mono(-2), -6), -6
+    return g, g.valuation()
 
 
 class TestPrymFlows:
     @settings(max_examples=150)
     @given(prym_candidates())
-    def test_matches_the_whole_product(self, g):
-        assert is_prym_flow(g) == prym_flow_full(g)
+    def test_matches_the_whole_product(self, cut):
+        assert is_prym_flow(*cut) == prym_flow_full(*cut)
 
     def test_truncated_odd_exponential(self):
         g = exp_floor(series({-1: 2, -3: 1, -5: Fraction(1, 3)}), -12)
-        assert is_prym_flow(g)
+        assert is_prym_flow(g, -12)
 
     def test_generic_unit_fails(self):
-        assert not is_prym_flow(series({0: 1, 1: 1}))
+        assert not is_prym_flow(series({0: 1, 1: 1}), 0)
 
     def test_even_exponential_fails(self):
-        assert not is_prym_flow(exp_floor(mono(-2), -6))
+        assert not is_prym_flow(exp_floor(mono(-2), -6), -6)
+
+    def test_even_part_cancelled_by_the_cut_fails(self):
+        """exp(z^-1 - z^-2/2) cut at -2 is 1 + z^-1: its z^-2 coefficient
+        cancels, so the valuation -1 is above the cut.  The product
+        (1 + z^-1)(1 - z^-1) = 1 - z^-2 is certified from the floor -2 up,
+        and its z^-2 term shows the even flow."""
+        g = exp_floor(series({-1: 1, -2: Fraction(-1, 2)}), -2)
+        assert g == ONE + mono(-1)
+        assert not is_prym_flow(g, -2)
+        assert not prym_flow_full(g, -2)
 
     def test_constants_and_monomials(self):
-        assert is_prym_flow(ONE)
-        assert not is_prym_flow(mono(1))
+        assert is_prym_flow(ONE, 0)
+        assert not is_prym_flow(mono(1), 1)
 
 
 @st.composite
@@ -727,6 +745,65 @@ class TestComplementOracle:
         got = u.orthogonal()
         assert (got.rows, got.pivots, got.tail_j, got.window, got.exact) == (
             want.rows, want.pivots, want.tail_j, want.window, want.exact)
+
+
+class TestExactFramesReadNoWindow:
+    @settings(max_examples=100, deadline=None)
+    @given(small_frames(), st.integers(0, 4), st.integers(1, 3))
+    def test_two_windows_agree(self, u, cap, n):
+        """An exact frame answers the same under the windows [-1, 1] and
+        [-64, 64]: its complement, isotropy, coordinates, tau, stabilizer
+        and tau's flow check read no window."""
+        def answers(v):
+            dual = v.orthogonal()
+            return ((dual.rows, dual.pivots, dual.tail_j, dual.exact),
+                    v.isotropy() if v.charge == 0 else None,
+                    v.pluckers(LAMS), tau_function(v), stabilizer(v, n),
+                    tau_flow_consistency(v, cap))
+
+        narrow, wide = (FramePoint(u.rows, u.pivots, u.tail_j, w)
+                        for w in ((-1, 1), (-64, 64)))
+        assert answers(narrow) == answers(wide)
+
+    def test_approximate_frames_keep_the_refusal(self):
+        u = point_a(2, (-2, 2)).flow(series({0: 1, 1: 1, 2: 1}))
+        with pytest.raises(WindowTooSmall, match="below the window"):
+            u.orthogonal()
+        with pytest.raises(WindowTooSmall, match="below the window"):
+            nullspace_complement(u)
+
+
+class _ExactFalseCalls(ast.NodeVisitor):
+    """The qualified names of the functions holding a FramePoint(...) or
+    cls(...) call that passes exact=False, or exact by position."""
+
+    def __init__(self):
+        self.scope, self.found = [], []
+
+    def _enter(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_ClassDef = visit_FunctionDef = _enter
+
+    def visit_Call(self, node):
+        if getattr(node.func, "id", None) in ("FramePoint", "cls") and (
+                len(node.args) >= 5 or any(
+                k.arg == "exact" and isinstance(k.value, ast.Constant)
+                and k.value.value is False for k in node.keywords)):
+            self.found.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def test_only_flow_builds_an_approximate_frame():
+    """No path of the package but FramePoint.flow builds an approximate
+    frame: span_closure certifies or refuses, and tau's flow check reads
+    one block of the rows."""
+    calls = _ExactFalseCalls()
+    for path in sorted(Path(zgrass.__file__).parent.glob("*.py")):
+        calls.visit(ast.parse(path.read_text(), str(path)))
+    assert calls.found == ["FramePoint.flow"]
 
 
 class TestProperties:

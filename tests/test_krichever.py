@@ -85,13 +85,13 @@ class TestSpanClosure:
         assert u.same_subspace(FramePoint.from_gens([mono(-1)], 2, W))
         assert not is_ring_point(u)
 
-    def test_persistent_defect_falls_back_to_window(self):
-        # the span of k[z^-2 + z^-1, z^-3] never contains z^-2 itself
-        u = span_closure([mono(-2) + mono(-1), mono(-3)], W)
-        assert not u.exact
-        assert u.row_floor == -8
-        row = u.rows[u.pivots.index(-2)]
-        assert row == mono(-2) + mono(-1)
+    def test_persistent_defect_is_refused(self):
+        # the span of k[z^-2 + z^-1, z^-3] never contains z^-2 itself, so
+        # no window certifies a monomial tail
+        for window in (W, (-24, 24)):
+            with pytest.raises(WindowTooSmall) as exc:
+                span_closure([mono(-2) + mono(-1), mono(-3)], window)
+            assert str(exc.value) == krichever.UNCERTIFIED
 
     def test_uncertifiable_run_raises(self):
         with pytest.raises(NotClosed):
@@ -136,9 +136,7 @@ def two_pass_span_closure(gens, window, module_gens=()):
         )
         if krichever._closed_under(point, gens):
             return point
-    return FramePoint(
-        full.rows, full.pivots, full.tail_j, window, exact=False, row_floor=lo
-    )
+    raise WindowTooSmall(krichever.UNCERTIFIED)
 
 
 @st.composite
@@ -174,8 +172,8 @@ class TestSpanClosureOracle:
         window = (-12, 6)
         try:
             want = frame_fields(two_pass_span_closure(ring, window, mods))
-        except NotClosed:
-            with pytest.raises(NotClosed):
+        except (NotClosed, WindowTooSmall) as exc:
+            with pytest.raises(type(exc)):
                 span_closure(CurveData(tuple(ring), tuple(mods)), window)
             return
         got = span_closure(CurveData(tuple(ring), tuple(mods)), window)
@@ -200,7 +198,7 @@ class TestRingPoint:
         assert krichever._closed_under(FramePoint.vacuum(W), [mono(-1)]) is True
 
     def test_needs_exact(self):
-        u = span_closure([mono(-2) + mono(-1), mono(-3)], W)
+        u = cusp().flow(LaurentSeries({-1: 1, 0: 1}))
         with pytest.raises(ZgrassError):
             is_ring_point(u)
 
@@ -248,7 +246,7 @@ class TestStabilizer:
                     assert u.contains(f.shift(-j))
 
     def test_needs_exact(self):
-        u = span_closure([mono(-2) + mono(-1), mono(-3)], W)
+        u = cusp().flow(LaurentSeries({-1: 1, 0: 1}))
         with pytest.raises(ZgrassError):
             stabilizer(u, 3)
 

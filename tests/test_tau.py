@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from frame_oracles import flowed_tau
+from frame_oracles import flowed_frame_tau, flowed_tau, flowed_vacuum_minor
 from zgrass.errors import (
     InsufficientPrecision,
     OddParity,
@@ -99,9 +99,11 @@ class TestSupport:
             assert plucker_support(u, cap) == [
                 (lam, v) for lam, v in full if lam.weight <= cap]
 
-    def test_approximate_frame_reads_every_partition_to_the_cap(self):
+    def test_approximate_frame_is_refused_at_any_cap(self):
         moved = FramePoint.vacuum(window=W).flow(series({-1: 1, 0: 1}))
-        assert plucker_support(moved, 3) == [(Partition(()), Fraction(1))]
+        for cap in (None, 0, 3):
+            with pytest.raises(ZgrassError, match="exact frame"):
+                plucker_support(moved, cap)
 
 
 class TestTau:
@@ -143,13 +145,15 @@ class TestTau:
         assert t == (tconst(1) + tvar(1) * 5).with_cap(1)
 
     def test_flowed_vacuum_stays_trivial(self):
+        # tau refuses the flowed frame; the oracle sums its coordinates
         moved = FramePoint.vacuum(window=W).flow(series({-1: 1, 0: 1}))
-        assert tau_function(moved, cap=3) == tconst(1).with_cap(3)
+        assert flowed_frame_tau(moved, 3) == tconst(1).with_cap(3)
 
-    def test_approx_needs_cap(self):
+    def test_approximate_frame_is_refused(self):
         moved = FramePoint.vacuum(window=W).flow(series({-1: 1, 0: 1}))
-        with pytest.raises(ZgrassError):
-            tau_function(moved)
+        for cap in (None, 3):
+            with pytest.raises(ZgrassError, match="exact frame"):
+                tau_function(moved, cap)
 
     def test_monomial_points_are_schur_polynomials(self):
         # rows z^(lam_i - i) over tail len(lam): charge 0, tau = s_lam
@@ -158,6 +162,21 @@ class TestTau:
             u = FramePoint.from_gens(gens, len(lam), window=W)
             assert u.charge == 0
             assert tau_function(u) == schur(lam), lam
+
+
+@st.composite
+def charged_frames(draw):
+    """Exact frames of 0-4 rows and charge -2..2, rows reaching at most z^4,
+    in a window of radius 1-8."""
+    nrows = draw(st.integers(0, 4))
+    tail = draw(st.integers(max(0, nrows - 2), nrows + 2))
+    pivots = draw(st.lists(st.integers(-tail, 3), min_size=nrows,
+                           max_size=nrows, unique=True))
+    gens = [series({p: 1, **draw(st.dictionaries(
+        st.integers(p + 1, 4), st.integers(-3, 3).filter(bool),
+        max_size=2))}) for p in pivots]
+    r = draw(st.integers(1, 8))
+    return FramePoint.from_gens(gens, tail, (-r, r))
 
 
 class TestFlowConsistency:
@@ -227,6 +246,25 @@ class TestFlowConsistency:
         g = times_flow(3, -8)
         assert g.coeff(0) == tconst(1).with_cap(3)
         assert g.low == -3
+
+    @pytest.mark.parametrize("window", [(-1, 1), (-2, 2), (-64, 64)])
+    def test_no_window_cuts_the_flow(self, window):
+        """At the window radii 1 and 2 a flow cut at the window floor
+        drops p_3 and p_4 of the weight-4 flow; the block reads none."""
+        u = FramePoint.from_gens(
+            [series({-1: 1, 2: 3}), series({1: 1})], 2, window)
+        assert tau_flow_consistency(u, 4) == tau_function(u).with_cap(4)
+        assert tau_flow_consistency(u, 4) == flowed_vacuum_minor(u, 4)
+
+    @settings(max_examples=60, deadline=None)
+    @given(charged_frames(), st.integers(0, 6))
+    def test_matches_the_flowed_minor(self, u, cap):
+        assert tau_flow_consistency(u, cap) == flowed_vacuum_minor(u, cap)
+
+    def test_refuses_an_approximate_frame(self):
+        moved = point_a(Fraction(7)).flow(series({-1: 1, 0: 1}))
+        with pytest.raises(ZgrassError, match="exact frame"):
+            tau_flow_consistency(moved, 3)
 
 
 class TestTaubar:

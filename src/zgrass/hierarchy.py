@@ -30,8 +30,9 @@ and serve as mutual oracles.
 
 Each call -- a whole suite or one standalone constraint -- reads tau through
 one row reader (_rows), which pairs an extraction at most once and only at
-a weight tau has, and evaluates through one sweep (_values).  The rows are
-dropped when the call returns; extraction_operator, like the Schur
+a weight tau has, and evaluates through one sweep (_values) that adds the
+rows' integer numerators and builds one Fraction per nonzero value.  The
+rows are dropped when the call returns; extraction_operator, like the Schur
 polynomials it reads, is memoized with functools.cache for the life of the
 process, and its shared values are never mutated.  Tau is read in the time
 family "t"; a tau with variables of another family is refused.
@@ -45,7 +46,9 @@ no terms past its cap, so no row is paired beyond it.
 
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import compress, groupby, islice, product
+from math import lcm
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import UnsoundTruncation, ZgrassError
@@ -106,9 +109,10 @@ def suite_weight(maxsize):
 
 
 def _rows(tau, route, reach):
-    """row(d, negate_p) -> {level e: pairing != 0} over the levels
-    -top..reach whose weight |lam| + e tau has, filled on first use.  The
-    route and tau's variable family are checked before any pairing."""
+    """row(d, negate_p) -> (den, {level e: pairing * den != 0}) over the
+    levels -top..reach whose weight |lam| + e tau has, filled on first use;
+    den is the lcm of their denominators.  The route and tau's variable
+    family are checked before any pairing."""
     if route not in ("hall", "diff"):
         raise ZgrassError(f"unknown evaluation route {route!r}")
     for m in tau.terms:
@@ -122,7 +126,7 @@ def _rows(tau, route, reach):
     def row(d, negate_p):
         out = rows.get((d.parts, negate_p))
         if out is None:
-            out = rows[d.parts, negate_p] = {}
+            vals = {}
             for e in range(-d.top, reach + 1):
                 if d.weight + e not in weights:
                     continue
@@ -130,7 +134,11 @@ def _rows(tau, route, reach):
                 v = op and (hall(op, tau) if route == "hall" else
                             apply_tilde(op, tau).constant_term())
                 if v:
-                    out[e] = v
+                    vals[e] = v
+            den = lcm(*(v.denominator for v in vals.values()))
+            out = rows[d.parts, negate_p] = (den, {
+                e: v.numerator * den // v.denominator
+                for e, v in vals.items()})
         return out
 
     return row
@@ -144,19 +152,23 @@ def _values(family, slots, row, cap):
     plus the other slots' tops.  Past the cap the value is None and reads no
     row; otherwise it is the sum over the first diagram's even levels e of
     its row times the later slots' convolution at total - e.  A row or a
-    convolution is read at the first sound entry that needs it.
+    convolution is read at the first sound entry that needs it.  The sum
+    runs on integer numerators over the rows' denominators d0 * dc:
+    a nonzero value is one Fraction of it, a zero one the shared _ZERO.
     """
     total, negate = _SHAPES[family]
 
     def convolve(ds):
-        out = {0: Fraction(1)}
+        den, out = 1, {0: 1}
         for d, n in zip(ds, negate[1:]):
+            rd, r = row(d, n)
+            den *= rd
             nxt = {}
             for a, x in out.items():
-                for b, y in row(d, n).items():
+                for b, y in r.items():
                     nxt[a + b] = nxt.get(a + b, 0) + x * y
             out = nxt
-        return out
+        return den, out
 
     # weight >= top, so 0 stands in for the max over no later slot
     rest = [(ds, total + sum([d.top for d in ds]),
@@ -171,12 +183,13 @@ def _values(family, slots, row, cap):
                 yield (d, *ds), None, needed
                 continue
             if evens is None:
-                evens = [(total - e, x) for e, x in row(d, negate[0]).items()
-                         if e % 2 == 0]
+                d0, r0 = row(d, negate[0])
+                evens = [(total - e, x) for e, x in r0.items() if e % 2 == 0]
             if evens and i not in convs:
                 convs[i] = convolve(ds)
-            yield (d, *ds), sum((x * convs[i][k] for k, x in evens
-                                 if k in convs[i]), _ZERO), needed
+            dc, c = convs.get(i, (1, {}))
+            s = sum([x * c[k] for k, x in evens if k in c])
+            yield (d, *ds), Fraction(s, d0 * dc) if s else _ZERO, needed
 
 
 def _constraint(family, lams, tau, route):
@@ -247,26 +260,30 @@ def constraint_suite(tau, maxsize, route="hall"):
         for diagrams, v, needed in _values(family, slots, row,
                                            tau.maxweight):
             status = ("unsound" if v is None
-                      else "zero" if v == 0 else "nonzero")
+                      else "nonzero" if v else "zero")
             out.append(SuiteEntry(family, diagrams, v, needed, status))
     return out
 
 
 def suite_verdict(entries):
     """Per-family summary: 'pass', 'fail', or 'skipped' plus counts."""
+    by_family = {}
+    for fam_tag, run in groupby(entries, attrgetter("family")):
+        by_family.setdefault(fam_tag, []).extend(run)
     out = {}
     for fam_tag in FAMILIES:
-        rows = [x for x in entries if x.family == fam_tag]
+        rows = by_family.get(fam_tag)
         if not rows:
             continue
-        bad = [x for x in rows if x.status == "nonzero"]
-        skipped = [x for x in rows if x.status == "unsound"]
-        verdict = "fail" if bad else ("pass" if len(skipped) < len(rows)
+        status = [x.status for x in rows]
+        skipped = status.count("unsound")
+        bad = list(islice(compress(rows, map("nonzero".__eq__, status)), 5))
+        verdict = "fail" if bad else ("pass" if skipped < len(rows)
                                       else "skipped")
         out[fam_tag] = {
             "verdict": verdict,
-            "checked": len(rows) - len(skipped),
-            "skipped": len(skipped),
-            "failures": [(x.diagrams, x.value) for x in bad[:5]],
+            "checked": len(rows) - skipped,
+            "skipped": skipped,
+            "failures": [(x.diagrams, x.value) for x in bad],
         }
     return out

@@ -11,7 +11,8 @@ The Schur polynomial chi_lam in the times t lives here, read off the
 characters: with p_k = k t_k, the coefficient of prod_k t_k^m_k in chi_lam
 is chi^lam(mu) / prod_k m_k! (Murnaghan-Nakayama, Macdonald I.7), and the
 p_n of exp(sum_k t_k z^k) are the one-row chi_(n).  Beside them are the
-strip sums D_{lam,alpha}, the Hall pairing in these coordinates, and the
+strip sums D_{lam,alpha}, the Hall pairing in these coordinates (integer
+numerators over one denominator, one Fraction per pairing), and the
 scaled-derivative action f(d~) with d~_k = (1/k) d/dt_k; only tvar and
 schur_p take another family.  partitions, schur_p, schur, strip_sum and the
 helpers _character, _mono_weight and _hall_norm are memoized with
@@ -22,7 +23,7 @@ never mutated in place.
 from collections import Counter
 from fractions import Fraction
 from functools import cache
-from math import factorial, prod
+from math import factorial, lcm, prod
 
 from .errors import InsufficientPrecision, ParseError, ZgrassError
 
@@ -464,29 +465,35 @@ def strip_sum(lam, alpha):
 
 @cache
 def _hall_norm(mono):
-    v = Fraction(1)
-    for (_, k), mult in mono:
-        v *= Fraction(factorial(mult), k ** mult)
-    return v
+    """prod_k m_k! / k^m_k as an integer pair (numerator, denominator)."""
+    return (prod(factorial(mult) for _, mult in mono),
+            prod(k ** mult for (_, k), mult in mono))
 
 
 def hall(f, g):
     """Hall pairing: <prod t_k^a_k, prod t_k^b_k> = delta_ab prod a_k!/k^a_k.
 
     Requires each operand's support to sit inside the other's sound weight
-    range, since unknown heavy monomials would pair with known ones.
+    range, since unknown heavy monomials would pair with known ones.  The
+    coefficients are rationals (int or Fraction): the matched terms add as
+    integers over one running lcm denominator, into one Fraction.
     """
     for a, b in ((f, g), (g, f)):
         if b.maxweight is not None and a.weight() > b.maxweight:
             raise InsufficientPrecision(
                 f"pairing needs weight {a.weight()}, cap is {b.maxweight}"
             )
-    total = Fraction(0)
+    num, den = 0, 1
     for m, cf in f.terms.items():
         cg = g.terms.get(m)
         if cg:
-            total += cf * cg * _hall_norm(m)
-    return total
+            nn, nd = _hall_norm(m)
+            d = cf.denominator * cg.denominator * nd
+            lo = lcm(den, d)
+            num = (num * (lo // den)
+                   + cf.numerator * cg.numerator * nn * (lo // d))
+            den = lo
+    return Fraction(num, den)
 
 
 def apply_tilde(op, target):
@@ -523,11 +530,11 @@ def sqrt_series(q, weight):
         raise ZgrassError("sqrt_series needs constant term exactly 1")
     comps = {0: tconst(1)}
     for w in range(1, weight + 1):
-        s = q.component(w)
-        for u in range(1, w):
-            s = s - comps[u] * comps[w - u]
+        # c_u c_(w-u) over u < w/2 twice, then an even w's middle square
+        cross = tsum([comps[u] * comps[w - u] for u in range(1, (w + 1) // 2)],
+                     None)
+        s = q.component(w) - cross * 2
+        if w % 2 == 0:
+            s = s - comps[w // 2] * comps[w // 2]
         comps[w] = s * Fraction(1, 2)
-    r = TimePolynomial()
-    for w in range(weight + 1):
-        r = r + comps[w]
-    return r
+    return tsum(comps.values(), None)

@@ -14,7 +14,8 @@ family-square` took before it read flows as time shifts; flowed_frame_tau
 sums a flowed frame's coordinates into its tau, which tau.plucker_support
 refuses, and flowed_vacuum_minor flows a point by the universal exponential,
 the route `zgrass tau`'s flow check took before it read one block of the
-rows.  hirota forms the
+rows.  hall_oracle is the Hall pairing as a Fraction sum, the loop
+symfun.hall ran before it added integer numerators.  hirota forms the
 Hirota bilinear derivative D^alpha tau.tau and kp_defect the left side of the
 KP equation in Hirota form, an oracle for tau polynomials that uses only
 TimePolynomial.differentiate.
@@ -23,10 +24,10 @@ TimePolynomial.differentiate.
 import importlib
 from fractions import Fraction
 from itertools import product
-from math import comb, prod
+from math import comb, factorial, prod
 from typing import NamedTuple
 
-from zgrass.errors import WindowTooSmall, ZgrassError
+from zgrass.errors import InsufficientPrecision, WindowTooSmall, ZgrassError
 from zgrass.grassmann import DEFAULT_WINDOW, FramePoint, _chart_columns
 from zgrass.linalg import det_field, echelon, nullspace
 from zgrass.pfaffian import pfaffian
@@ -125,6 +126,23 @@ def flowed_vacuum_minor(u, cap):
     if isinstance(minor, TimePolynomial):
         return minor
     return tconst(minor).with_cap(cap)
+
+
+def hall_oracle(f, g):
+    """symfun.hall as it was before it added integers: one Fraction sum
+    over f's terms, each matched term scaled by its norm
+    prod_k m_k!/k^m_k, with the same two precision refusals."""
+    for a, b in ((f, g), (g, f)):
+        if b.maxweight is not None and a.weight() > b.maxweight:
+            raise InsufficientPrecision(
+                f"pairing needs weight {a.weight()}, cap is {b.maxweight}")
+    total = Fraction(0)
+    for m, cf in f.terms.items():
+        cg = g.terms.get(m)
+        if cg:
+            total += cf * cg * prod(Fraction(factorial(mult), k ** mult)
+                                    for (_, k), mult in m)
+    return total
 
 
 def echelon_calls(monkeypatch):

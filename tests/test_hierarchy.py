@@ -370,6 +370,25 @@ class TestSuite:
         constraint_suite(three_row_tau().with_cap(cap), 4)
         assert (len(made), len(paired)) == (ops, pairs)
 
+    @pytest.mark.parametrize("cap", [None, 5, 2])
+    def test_one_fraction_per_nonzero_entry(self, monkeypatch, cap):
+        # the sweep adds integers: each nonzero value is the one Fraction it
+        # builds for that entry, and every zero value is the shared _ZERO
+        built = []
+
+        def counting_fraction(*args):
+            built.append(Fraction(*args))
+            return built[-1]
+
+        tau = three_row_tau() if cap is None else three_row_tau().with_cap(cap)
+        monkeypatch.setattr(hierarchy, "Fraction", counting_fraction)
+        entries = constraint_suite(tau, 4)
+        nonzero = [e.value for e in entries if e.status == "nonzero"]
+        assert nonzero and len(built) <= len(nonzero)
+        assert {id(v) for v in nonzero} == {id(f) for f in built}
+        assert all(e.value is hierarchy._ZERO for e in entries
+                   if e.status == "zero")
+
     @pytest.mark.parametrize("tau", [
         three_row_tau(), frame_tau([{-1: 1, 0: 2}], 1)],
         ids=["three_row", "one_row"])
@@ -430,7 +449,9 @@ def dense_suite(tau, maxsize):
     """The dense-level evaluator that the sparse rows replaced, kept as the
     oracle of constraint_suite: every slot walks its whole level range,
     extracts at every level whether or not tau has that weight, and each
-    extraction is Hall-paired on its first use."""
+    extraction is Hall-paired on its first use, with Fraction sums.  It
+    shares symfun.hall with the suite, so the "diff" route (apply_tilde,
+    test_routes_agree_*) stays the independent oracle of the values."""
     shapes = hierarchy._SHAPES
     values, tails = {}, {}
 

@@ -30,7 +30,7 @@ from zgrass.symfun import (
     tvar,
 )
 
-from frame_oracles import evaluate
+from frame_oracles import evaluate, hall_oracle
 
 t1, t2, t3 = tvar(1), tvar(2), tvar(3)
 half = Fraction(1, 2)
@@ -294,6 +294,50 @@ class TestHall:
         for f in polys:
             for g in polys:
                 assert hall(f, g) == apply_tilde(f, g).constant_term()
+
+
+@st.composite
+def rational_polys(draw, capped=True):
+    """Polynomials in t1..t3 and s1 whose coefficients are ints or Fractions
+    with denominators up to 12, exact or, if capped, capped at weights 0-6.
+    They are built by _canonical, which keeps an int coefficient an int."""
+    variables = [("t", 1), ("t", 2), ("t", 3), ("s", 1)]
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        mono = tuple(sorted(
+            (v, draw(st.integers(1, 3))) for v in draw(
+                st.lists(st.sampled_from(variables), max_size=3, unique=True))))
+        terms[mono] = draw(st.integers(-4, 4)
+                           | st.fractions(-4, 4, max_denominator=12))
+    cap = draw(st.none() | st.integers(0, 6)) if capped else None
+    return TimePolynomial._canonical(terms, cap)
+
+
+def hall_outcome(f, g, pair):
+    try:
+        return pair(f, g)
+    except InsufficientPrecision as exc:
+        return f"InsufficientPrecision: {exc}"
+
+
+class TestHallOracle:
+    """hall against the Fraction-sum pairing it replaced."""
+
+    @given(rational_polys(), rational_polys())
+    def test_matches_oracle(self, f, g):
+        got = hall_outcome(f, g, hall)
+        assert got == hall_outcome(f, g, hall_oracle)
+        if not isinstance(got, str):
+            assert type(got) is Fraction and got == hall(g, f)
+
+    @given(rational_polys(capped=False), rational_polys(capped=False),
+           st.fractions(-4, 4, max_denominator=12).filter(bool))
+    def test_cancelling_sum_is_fraction_zero(self, f, g, g0):
+        # a constant term pairs only with a constant term, at norm 1
+        g = g + tconst(g0 - g.constant_term())
+        f = f - tconst(hall_oracle(f, g) / g0)
+        got = hall(f, g)
+        assert got == 0 and type(got) is Fraction
 
 
 class TestApplyTilde:

@@ -109,7 +109,7 @@ def cmd_check(obj, args):
 
 
 def cmd_tau(obj, args):
-    u = point_from_json(obj, _win(args))
+    u = point_from_json(obj, DEFAULT_WINDOW)
     weight = args.weight
     tau = tau_function(u, weight)
     rep = {"charge": u.charge, "tau": tau}
@@ -124,7 +124,7 @@ def cmd_tau(obj, args):
 
 
 def cmd_baker(obj, args):
-    u = point_from_json(obj, _win(args))
+    u = point_from_json(obj, DEFAULT_WINDOW)
     pairs = baker(u, args.weight)
     first, _ = baker_residual_matrices(u)
     rep = {"charge": u.charge,
@@ -136,7 +136,7 @@ def cmd_baker(obj, args):
 
 
 def cmd_bilinear(obj, args):
-    u = point_from_json(obj, _win(args))
+    u = point_from_json(obj, DEFAULT_WINDOW)
     n = len(u.rows) + 2
     # one pass: the n-sized matrices are the leading blocks of the larger
     matrices = baker_residual_matrices(u, max(args.weight, n))
@@ -166,7 +166,7 @@ def cmd_bilinear(obj, args):
 
 
 def cmd_hierarchy(obj, args):
-    u = point_from_json(obj, _win(args))
+    u = point_from_json(obj, DEFAULT_WINDOW)
     tau = tau_function(u, suite_weight(args.maxsize))
     entries = constraint_suite(tau, args.maxsize)
     verdicts = suite_verdict(entries)
@@ -284,14 +284,13 @@ def cmd_family_square(obj, args):
 _COMMANDS = {
     "check": (cmd_check, ("point", "curve"),
               "structural invariants of a point or curve span", ("window",)),
-    "tau": (cmd_tau, ("point",), "tau polynomial of a point",
-            ("window", "weight")),
+    "tau": (cmd_tau, ("point",), "tau polynomial of a point", ("weight",)),
     "baker": (cmd_baker, ("point",), "Baker series blocks of a point",
-              ("window", "weight")),
+              ("weight",)),
     "bilinear": (cmd_bilinear, ("point",), "bilinear residuals of a point",
-                 ("window", "weight")),
+                 ("weight",)),
     "hierarchy": (cmd_hierarchy, ("point",), "constraint suite of a point",
-                  ("window", "maxsize")),
+                  ("maxsize",)),
     "orbit": (cmd_orbit, ("point", "curve"),
               "flow-orbit profile of a point or curve span",
               ("window", "nmax", "odd")),

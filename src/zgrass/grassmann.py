@@ -18,15 +18,16 @@ FramePoint.basis: the explicit rows, then the tail monomials z^-(tail_j+1),
 z^-(tail_j+2), ....  FramePoint.plucker is the one coordinate, a minor of the
 basis; FramePoint.pluckers reads many off one reduction of the rows.
 
-A flow by a non-monomial unit gives a window-approximate point instead: its
+One flow of an exact point by a non-monomial unit gives the one
+window-approximate point (a flow is a time shift, Segal-Wilson 1985): its
 rows are verbatim products (not re-normalized -- minor values along an orbit
-must pull back unscaled), its declared pivots are bookkeeping rather than
-valuations, and a minor raises WindowTooSmall rather than sample below the
-depth at which the stored rows stop being true, or past the rows the window
-(lo, hi), an inclusive exponent range, let the flow write out.  No command
-builds one: that branch of flow, row_floor, the refusal in minor and the
-window stay for the benchmark's answer check (perfbench/workloads.py,
-_check_tau), which reads the vacuum minor of a point flowed to its floor.
+must pull back unscaled), its declared pivots are bookkeeping, and the
+window (lo, hi), an inclusive exponent range, bounds the tail the flow
+writes out.  minor and plucker read its explicit rows alone; flow,
+pluckers, orthogonal and the membership tests refuse it.  No command builds
+one: it stays for the benchmark's answer check (perfbench/workloads.py,
+_check_tau), the vacuum minor of an exact point flowed once by the
+universal exponential cut at its window floor (tau.times_flow).
 
 The one involution frames know is the sign flip z -> -z (LaurentSeries.flip):
 it maps monomials to monomials, so isotropy and invariance stay exact, and the
@@ -82,6 +83,10 @@ def _chart_columns(lam, d, n):
 
 
 class FramePoint:
+    """A frame over a monomial tail.  exact is False only on a frame that
+    flow built from an exact one; window is the exponent range a flow writes
+    out, which `zgrass check` reports and no exact computation reads."""
+
     def __init__(
         self,
         rows,
@@ -89,16 +94,12 @@ class FramePoint:
         tail_j,
         window=DEFAULT_WINDOW,
         exact=True,
-        row_floor=None,
     ):
         self.rows = tuple(rows)
         self.pivots = tuple(pivots)
         self.tail_j = tail_j
         self.window = (int(window[0]), int(window[1]))
         self.exact = exact
-        # exponent above which stored row data is trustworthy; None means the
-        # rows are true at every depth (exact points, first-generation flows)
-        self.row_floor = None if exact else row_floor
         if self.window[0] >= self.window[1]:
             raise ZgrassError("window must satisfy lo < hi")
         if len(self.rows) != len(self.pivots):
@@ -192,14 +193,15 @@ class FramePoint:
         return r
 
     def contains(self, f):
-        """Whether f lies in the subspace.
+        """Whether the exact series f lies in the subspace of an exact frame.
 
-        Exact for exact frames and exact f; truncated f is accepted when its
-        known range clears, since the unknown part can always be completed
-        inside the tail -- provided the truncation covers the pivots.
+        A truncated f is refused: its unknown part lies at or above its
+        truncation, above the tail, where it decides membership.
         """
         if not self.exact:
             raise ZgrassError("membership test needs an exact frame")
+        if not isinstance(f, LaurentSeries) or not f.exact:
+            raise ZgrassError("membership test needs an exact series")
         r = self.reduce(f)
         return all(e <= -(self.tail_j + 1) for e in r.coeffs)
 
@@ -218,35 +220,20 @@ class FramePoint:
 
         Row i is the i-th basis row (descending declared pivot); the entry
         at column c is its z^c coefficient.  Exact frames may be sampled at
-        any depth, whatever their window (the tail really is monomial).
-        Approximate frames sample explicit rows only -- the implicit tail
-        stands in for rows the window could not certify -- and refuse
-        columns below the row data floor.
+        any depth, whatever their window (the tail really is monomial).  A
+        flowed frame certifies its explicit rows alone, so it raises
+        WindowTooSmall on more columns than rows: that refusal stays for the
+        benchmark's answer check, which reads the vacuum minor of one.
         """
         n = len(cols)
         if n == 0:
             return Fraction(1)
-        if err := self._refusal(cols):
-            raise err
+        if not self.exact and n > len(self.rows):
+            raise WindowTooSmall(
+                f"frame holds {len(self.rows)} certified rows, need {n}")
         rows = self.basis(n)
         return _det([[rows[i].coeffs.get(c, Fraction(0)) for c in cols]
                      for i in range(n)])
-
-    def _refusal(self, cols):
-        """The WindowTooSmall that sampling cols raises, or None: an
-        approximate frame certifies only its explicit rows, and those only
-        at or above its data floor."""
-        if self.exact or not cols:
-            return None
-        if len(cols) > len(self.rows):
-            return WindowTooSmall(
-                f"frame holds {len(self.rows)} certified rows, need {len(cols)}"
-            )
-        if self.row_floor is not None and min(cols) < self.row_floor:
-            return WindowTooSmall(
-                f"column {min(cols)} below the data floor {self.row_floor}"
-            )
-        return None
 
     def plucker(self, lam):
         """Pluecker coordinate of the partition lam in the charge-d chart.
@@ -256,7 +243,8 @@ class FramePoint:
         exact frame the extra row/column pairs are matched monomials, and a
         flow writes out every row with support inside the window, so the
         unsampled remainder always extends the determinant by units on the
-        diagonal.
+        diagonal.  On a flowed frame it reads the explicit rows alone
+        (minor).
         """
         lam = Partition(lam)
         n = max(len(lam), len(self.rows))
@@ -264,32 +252,25 @@ class FramePoint:
 
     def pluckers(self, lams):
         """The coordinates plucker(lam) of the partitions lams, in order,
-        read off one reduction of the rows.
+        read off one reduction of the rows of an exact frame.
 
-        A partition longer than the rows reads 0 on an exact frame, where
-        its last tail row meets none of its columns, and is refused on an
-        approximate one.  Every other minor samples the explicit rows alone,
-        at chart columns at or above -tail_j.  Cut to the columns any of
-        lams samples, the rows are reduced once (linalg.unit_reduce), which
-        scales each such minor by the product of the pivots.  On the reduced
-        rows a pivot column is a unit vector, so the minor is the block of
-        the rows whose pivot lam does not sample, at lam's columns that are
-        no pivot, signed by the matching of rows to columns.  An exact frame
-        is reduced and monic already: its reduction does no arithmetic, and
-        its blocks are at most Durfee-sized on the big cell.  Refusals are
-        decided from the columns first: the first partition plucker refuses
-        raises the same error, before any arithmetic.
+        A partition longer than the rows reads 0, since its last tail row
+        meets none of its columns.  Every other minor samples the explicit
+        rows alone, at chart columns at or above -tail_j.  Cut to the
+        columns any of lams samples, the rows are reduced once
+        (linalg.unit_reduce), which scales each such minor by the product of
+        the pivots.  On the reduced rows a pivot column is a unit vector, so
+        the minor is the block of the rows whose pivot lam does not sample,
+        at lam's columns that are no pivot, signed by the matching of rows to
+        columns.  An exact frame is reduced and monic already: its reduction
+        does no arithmetic, and its blocks are at most Durfee-sized on the
+        big cell.  A flowed frame is refused; its one coordinate is plucker.
         """
+        if not self.exact:
+            raise ZgrassError("Pluecker coordinates need an exact frame")
         m = len(self.rows)
-        charts = []
-        for lam in lams:
-            if self.exact and len(lam) > m:
-                charts.append(None)
-                continue
-            cols = _chart_columns(lam, self.charge, max(len(lam), m))
-            if err := self._refusal(cols):
-                raise err
-            charts.append(cols)
+        charts = [None if len(lam) > m else
+                  _chart_columns(lam, self.charge, m) for lam in lams]
         sampled = sorted({c for cols in charts if cols for c in cols})
         rows, pivots, scale = unit_reduce([r.coeffs for r in self.rows],
                                           sampled, self.pivots)
@@ -316,19 +297,23 @@ class FramePoint:
     # -- flows ----------------------------------------------------------------
 
     def flow(self, g):
-        """Multiply the subspace by an exact unit g.
+        """Multiply the subspace of an exact frame by an exact unit g.
 
         The anchor of g -- its largest nonpositive supported exponent, or its
         valuation when the support is entirely positive -- plays the role the
         valuation would play for an honest unit: declared pivots shift by it
-        and the charge changes by it.  A monomial flow is an exact shift; any
-        other flow produces a window-approximate point whose rows are the
-        verbatim products g * (old basis), with enough of the old tail
-        written out that everything supported inside the window is explicit.
+        and the charge changes by it.  A monomial flow is an exact shift.
+        Any other flow produces a window-approximate point whose rows are
+        the verbatim products g * (old basis), with enough of the old tail
+        written out that everything supported inside the window is explicit;
+        that branch stays for the benchmark's answer check, and the point it
+        builds is refused here in turn.
 
         Non-monomial g must have coefficient 1 at its anchor, so that minor
         values along the orbit are pinned rather than rescaled.
         """
+        if not self.exact:
+            raise ZgrassError("flow needs an exact frame")
         if not isinstance(g, LaurentSeries) or not g.exact:
             raise ZgrassError("flow needs an exact series")
         if not g.coeffs:
@@ -336,59 +321,43 @@ class FramePoint:
         supp = sorted(g.coeffs)
         nonpos = [e for e in supp if e <= 0]
         anchor = max(nonpos) if nonpos else supp[0]
-        lo, hi = self.window
         if len(supp) == 1:
             n = supp[0]
-            rows = tuple(r.shift(n) for r in self.rows)
-            pivs = tuple(p + n for p in self.pivots)
-            lo2 = lo if self.exact else lo + max(0, n)
-            rf = None if self.row_floor is None else self.row_floor + n
-            return FramePoint(
-                rows, pivs, self.tail_j - n, (lo2, hi),
-                exact=self.exact, row_floor=rf,
-            )
+            return FramePoint([r.shift(n) for r in self.rows],
+                              [p + n for p in self.pivots],
+                              self.tail_j - n, self.window)
         if not _is_unit_one(g.coeffs[anchor]):
             raise ZgrassError("non-monomial flow must have coefficient 1 at its anchor")
-        top = supp[-1]
-        j_max = top - lo
-        j_hi = max(self.tail_j, j_max)
+        j_hi = max(self.tail_j, supp[-1] - self.window[0])
         mat_js = range(self.tail_j + 1, j_hi + 1)
         # shift g: z^-j * g would multiply each polynomial coefficient by 1
         rows = [r * g for r in self.rows] + [g.shift(-j) for j in mat_js]
         pivs = [p + anchor for p in self.pivots] + [anchor - j for j in mat_js]
-        lo2 = lo if self.exact else lo + max(0, top)
-        # products of true rows stay true at every depth; only drawing on the
-        # stand-in tail of an approximate point introduces a data floor
-        if self.row_floor is None and (self.exact or j_max <= self.tail_j):
-            rf = None
-        else:
-            rf = lo2
-        return FramePoint(rows, pivs, j_hi - anchor, (lo2, hi),
-                          exact=False, row_floor=rf)
+        return FramePoint(rows, pivs, j_hi - anchor, self.window, exact=False)
 
     # -- orthogonal complement -------------------------------------------------
 
     def orthogonal(self):
         """Orthogonal complement under the residue pairing Res f g dz.
 
-        The complement is polynomial-type, of charge minus the charge of the
-        point, and exact when the point is.  Every z^e below -1 - maxtop,
-        maxtop the rows' top exponent, pairs to zero with the rows: that is
-        its tail.  Above it, sum c_e z^e is orthogonal when c_(-1-x), keyed
-        by x, lies in the kernel of the rows cut at the point's tail.  That
-        kernel, one vector monic at each free x ascending, read through
-        e = -1 - x is already the canonical frame.  Under the pairing twisted by the sign flip the
-        complement is the flip of this one.
+        The complement of an exact frame is exact and polynomial-type, of
+        charge minus the charge of the point; a flowed frame is refused.
+        Every z^e below -1 - maxtop, maxtop the rows' top exponent, pairs to
+        zero with the rows: that is its tail.  Above it, sum c_e z^e is
+        orthogonal when c_(-1-x), keyed by x, lies in the kernel of the rows
+        cut at the point's tail.  That kernel, one vector monic at each free
+        x ascending, read through e = -1 - x is already the canonical frame.
+        Under the pairing twisted by the sign flip the complement is the
+        flip of this one.
         """
+        if not self.exact:
+            raise ZgrassError("complement needs an exact frame")
         maxtop = max((r.top for r in self.rows), default=-1 - self.tail_j)
         floor_e = -1 - maxtop
-        if not self.exact and floor_e < self.window[0]:
-            raise WindowTooSmall("complement tail starts below the window")
         cut = [r.drop_below(-self.tail_j).coeffs for r in self.rows]
         rows = [LaurentSeries({-1 - x: c for x, c in v.items()})
                 for v in kernel(cut, range(-self.tail_j, maxtop + 1))]
-        return FramePoint(rows, [r.low for r in rows], -floor_e, self.window,
-                          exact=self.exact)
+        return FramePoint(rows, [r.low for r in rows], -floor_e, self.window)
 
     # -- the isotropic locus ----------------------------------------------------
 

@@ -95,8 +95,9 @@ def times_flow(cap, floor):
 
     The z^-n coefficient is the complete homogeneous generating polynomial
     p_n of the times, which has weight n; since p_n is homogeneous, every
-    coefficient past the cap is dropped entirely.  Only the benchmark's
-    answer check (perfbench/workloads.py, _check_tau) cuts above -cap.
+    coefficient past the cap is dropped entirely.  The floor stays for the
+    benchmark's answer check (perfbench/workloads.py, _check_tau), the one
+    caller that cuts above -cap: it flows a point once to its window floor.
     """
     deep = min(cap, -floor)
     return LaurentSeries(

@@ -27,7 +27,7 @@ from itertools import product
 from math import comb, factorial, prod
 from typing import NamedTuple
 
-from zgrass.errors import InsufficientPrecision, WindowTooSmall, ZgrassError
+from zgrass.errors import InsufficientPrecision, ZgrassError
 from zgrass.grassmann import DEFAULT_WINDOW, FramePoint, _chart_columns
 from zgrass.linalg import det_field, echelon, nullspace
 from zgrass.pfaffian import pfaffian
@@ -55,22 +55,19 @@ def flipped(u):
 
 
 def nullspace_complement(u):
-    """FramePoint.orthogonal as it was before it read its frame off one
-    sparse kernel: the dense kernel of the pairing matrix over the exponents
-    e in [floor, tail_j), then from_gens on its vectors; kept as an
-    oracle.  As orthogonal, it reads the window of an approximate frame
-    only."""
+    """FramePoint.orthogonal of an exact frame as it was before it read its
+    frame off one sparse kernel: the dense kernel of the pairing matrix over
+    the exponents e in [floor, tail_j), then from_gens on its vectors; kept
+    as an oracle."""
     J = u.tail_j
     floor_e = -(max(r.top for r in u.rows) + 1) if u.rows else J
-    if not u.exact and floor_e < u.window[0]:
-        raise WindowTooSmall("complement tail starts below the window")
     cand = range(floor_e, J)
     mat = [[row.coeffs.get(-1 - e, Fraction(0)) for e in cand]
            for row in u.rows]
     gens = [LaurentSeries({e: v[k] for k, e in enumerate(cand)})
             for v in nullspace(mat, len(cand))]
-    w = FramePoint.from_gens(gens, -floor_e, u.window, allow_dependent=True)
-    return FramePoint(w.rows, w.pivots, w.tail_j, w.window, exact=u.exact)
+    return FramePoint.from_gens(gens, -floor_e, u.window,
+                                allow_dependent=True)
 
 
 def prym_flow_full(g, floor):

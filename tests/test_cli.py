@@ -281,7 +281,7 @@ class TestHierarchyCommand:
             "checks": [check("GR0", 4), check("P0TRIPLE", 8),
                        check("CURVE", 2)],
             "command": "hierarchy",
-            "config": {"maxsize": 1, "strict": False, "window": 32},
+            "config": {"maxsize": 1, "strict": False},
             "ok": False,
             "report": {
                 "suite": [
@@ -321,7 +321,9 @@ class TestOptions:
 
     @pytest.mark.parametrize("cmd, option", [
         ("hierarchy", "--weight"), ("pfaffian", "--window"),
-        ("family-square", "--window")])
+        ("family-square", "--window"), ("tau", "--window"),
+        ("baker", "--window"), ("bilinear", "--window"),
+        ("hierarchy", "--window")])
     def test_ignored_option_is_refused(self, tmp_path, capsys, cmd, option):
         path = tmp_path / "input.json"
         path.write_text(json.dumps(self.INPUTS[cmd]))
@@ -356,7 +358,7 @@ class TestOptions:
 
     def test_window_range(self, tmp_path, capsys):
         for radius in ("0", "-3", "65"):
-            code, rep = run(tmp_path, CUSP, "tau", "--window", radius,
+            code, rep = run(tmp_path, CUSP, "check", "--window", radius,
                             capsys=capsys)
             assert code == 2
             assert rep["error"] == (
@@ -368,7 +370,7 @@ class TestOptions:
             assert rep["error"] == (
                 "ParseError: window must be [lo, hi] with -64 <= lo < hi "
                 f"<= 64, got {win!r}")
-        code, rep = run(tmp_path, dict(CUSP, window=[-64, 64]), "tau",
+        code, rep = run(tmp_path, dict(CUSP, window=[-64, 64]), "check",
                         "--window", "64", capsys=capsys)
         assert code == 0 and rep["config"]["window"] == 64
 
@@ -743,7 +745,8 @@ TWO_ROW = {"kind": "point", "gens": [{"-1": "1", "2": "3"}, {"1": "1"}],
 
 @pytest.mark.parametrize("radius", ["1", "2"])
 def test_tau_check_reads_no_window(tmp_path, capsys, radius):
-    code, rep = run(tmp_path, TWO_ROW, "tau", "--window", radius,
+    r = int(radius)
+    code, rep = run(tmp_path, dict(TWO_ROW, window=[-r, r]), "tau",
                     capsys=capsys)
     assert code == 0 and names(rep, "pass") == ["flow-consistency"]
 
@@ -901,14 +904,14 @@ class TestArgv:
          "zgrass tau: error: argument --weight: expected one argument"),
         (["tau", "F", "--weight", "-x"],
          "zgrass tau: error: argument --weight: expected one argument"),
-        (["tau", "F", "--window", "--weight"],
-         "zgrass tau: error: argument --window: expected one argument"),
+        (["check", "F", "--window", "--strict"],
+         "zgrass check: error: argument --window: expected one argument"),
         (["check", "F", "--out"],
          "zgrass check: error: argument --out: expected one argument"),
-        (["tau", "F", "--w", "3"], "zgrass tau: error: ambiguous option: "
-         "--w could match --window, --weight"),
-        (["tau", "F", "--w=3"], "zgrass tau: error: ambiguous option: "
-         "--w=3 could match --window, --weight"),
+        (["orbit", "F", "--o", "3"], "zgrass orbit: error: ambiguous "
+         "option: --o could match --odd, --out"),
+        (["orbit", "F", "--o=3"], "zgrass orbit: error: ambiguous option: "
+         "--o=3 could match --odd, --out"),
         (["check", "F", "extra"],
          "zgrass: error: unrecognized arguments: extra"),
         (["check", "F", "extra", "--bogus"],
@@ -943,8 +946,8 @@ class TestArgv:
          ["tau", "F", "--weight", "3"]),
         (["tau", "F", "--weight", "+3"], ["tau", "F", "--weight", "3"]),
         (["check", "F", "--s"], ["check", "F", "--strict"]),
-        (["tau", "F", "--wi", "3", "--weight=2"],
-         ["tau", "F", "--window", "3", "--weight", "2"]),
+        (["check", "F", "--wi", "3", "--s"],
+         ["check", "F", "--window", "3", "--strict"]),
         # a negative value reaches the range check and its JSON error
         (["tau", "F", "--weight=-1"], ["tau", "F", "--weight", "-1"]),
         (["tau", "F", "--weight", "-5"], ["tau", "F", "--weight=-5"]),
@@ -985,8 +988,6 @@ tau polynomial of a point
 
   file        JSON input file
   -h, --help  show this help and exit
-  --window R  exponent radius when the file sets no window, 1 to 64 \
-(default 32)
   --weight W  weight bound for series and polynomials, 0 to 24 (default 8)
   --strict    treat skipped checks as failures
   --out FILE  write the report here instead of stdout

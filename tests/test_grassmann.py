@@ -24,6 +24,7 @@ from zgrass.krichever import stabilizer
 from zgrass.linalg import unit_reduce
 from zgrass.series import LaurentSeries, exp_floor, pair_sigma
 from zgrass.symfun import (
+    Partition,
     TimePolynomial,
     partitions_upto,
     schur,
@@ -140,10 +141,12 @@ class TestMembership:
         assert not c.contains(mono(1))
 
     def test_truncated_membership(self):
-        # known range clears, unknown part completes inside the tail
-        f = LaurentSeries({0: 1}, trunc=5)
-        assert cusp().contains(f)
-        assert not cusp().contains(LaurentSeries({-1: 1}, trunc=5))
+        # a truncated series is unknown from its truncation up, above the
+        # tail: z^-2 known below 0 completes to z^-2 + z, not in the vacuum
+        for u, f in ((FramePoint.vacuum(), LaurentSeries({-2: 1}, trunc=0)),
+                     (cusp(), LaurentSeries({0: 1}, trunc=5))):
+            with pytest.raises(ZgrassError, match="exact series"):
+                u.contains(f)
 
     def test_same_subspace(self):
         a = cusp()
@@ -261,23 +264,21 @@ class TestFlow:
         assert w.same_subspace(u)
 
     def test_vacuum_flow_tau(self):
-        # minors of exp(sum t_k z^-k) U recover the tau polynomial of U
+        # the vacuum minor of exp(sum t_k z^-k) U is the tau of U; here U is
+        # span{z^-1 + a, z^-2 - a^2} over tail 2, of coordinates 1, a, a^2
         a = Fraction(2, 3)
-        u = FramePoint.vacuum().flow(series({0: 1, 1: a}))
+        u = FramePoint.from_gens([series({-1: 1, 0: a}),
+                                  series({-2: 1, 0: -a * a})], 2)
         moved = u.flow(exp_times(2, -8))
         expect = (
             tconst(1) + schur((1,)) * a + schur((1, 1)) * a * a
         ).with_cap(2)
-        assert moved.plucker(()) == expect
-        assert moved.row_floor is None
+        assert not moved.exact
+        assert moved.plucker(()) == expect == tau_function(u, 2)
 
     def test_cusp_flow_tau(self):
         moved = cusp().flow(exp_times(2, -8))
         assert moved.plucker(()) == schur((1,)).with_cap(2)
-
-    def test_window_floor_bump(self):
-        u = FramePoint.vacuum((-8, 8)).flow(exp_times(2, -8)).flow(mono(2))
-        assert u.window[0] == -6
 
 
 class TestOrthogonal:
@@ -303,13 +304,6 @@ class TestOrthogonal:
     def test_flip_complement_fixes_isotropic_point(self):
         u = point_a(Fraction(5, 3))
         assert flipped(u.orthogonal()).same_subspace(u)
-
-    def test_polynomial_rows_are_refused(self):
-        # a flow by the universal unit has rows with polynomial
-        # coefficients, and a pivot without a constant term is no unit
-        u = FramePoint.from_gens([series({-1: 1, 1: 2})], 1, (-16, 16))
-        with pytest.raises(ZgrassError, match="not a unit"):
-            u.flow(times_flow(3, -8)).orthogonal()
 
     def test_one_elimination_over_the_rows(self, monkeypatch):
         """The complement of a one-row point over tail 2000 is one echelon
@@ -626,21 +620,8 @@ def read_all(read):
 
 
 def assert_pluckers_are_minors(u, lams):
-    """One reduction reads what plucker reads, partition by partition, and
-    refuses where plucker first refuses, with the same error.
-
-    A flowed frame's polynomial entries are known through a weight cap, and
-    so are its coordinates: there a rational and the same constant known
-    through the cap are one value, and which of the two a determinant
-    returns depends on its pivots.  So flowed coordinates are compared by
-    their difference, which vanishes through the cap."""
-    got = read_all(lambda: u.pluckers(lams))
-    want = read_all(lambda: [u.plucker(lam) for lam in lams])
-    if u.exact or isinstance(want, tuple):
-        assert got == want
-    else:
-        assert len(got) == len(want)
-        assert not [lam for lam, a, b in zip(lams, got, want) if a - b]
+    """One reduction reads what plucker reads, partition by partition."""
+    assert u.pluckers(lams) == [u.plucker(lam) for lam in lams]
 
 
 # every partition through weight 5: (1^4) and (1^5) outrun three rows
@@ -664,16 +645,13 @@ def family_units(draw, floor):
 
 @st.composite
 def flowed_frames(draw):
-    """small_frames in a window of radius 2-5, moved by one or two rational
-    or family flows: a second flow that draws on the stand-in tail sets a
-    data floor, and a shallow window leaves few certified rows."""
+    """small_frames in a window of radius 2-5, moved once by a rational or
+    family flow, the one way to an approximate frame: a shallow window
+    leaves few certified rows."""
     lo = draw(st.integers(-5, -2))
     u = draw(small_frames())
     u = FramePoint(u.rows, u.pivots, u.tail_j, (lo, -lo))
-    flows = st.one_of(rational_flows(), family_units(lo))
-    for g in draw(st.lists(flows, min_size=1, max_size=2)):
-        u = u.flow(g)
-    return u
+    return u.flow(draw(st.one_of(rational_flows(), family_units(lo))))
 
 
 class TestPluckers:
@@ -686,27 +664,13 @@ class TestPluckers:
     def test_exact_frames(self, u):
         assert_pluckers_are_minors(u, LAMS)
 
-    @settings(max_examples=60, deadline=None)
-    @given(flowed_frames())
-    def test_flowed_frames(self, u):
-        assert_pluckers_are_minors(u, LAMS)
-
-    def test_non_unit_declared_pivot(self):
-        # (z^-1 - 1)(1 + z^-1) = z^-2 - 1 is zero at its declared pivot -1
-        u = point_a(-1, (-4, 4)).flow(series({0: 1, -1: 1}))
-        assert u.rows[0].coeff(u.pivots[0]) == 0
-        assert_pluckers_are_minors(u, LAMS)
-
     def test_refusals(self):
-        # three certified rows: (1^4) is the first partition refused
+        # a flowed frame certifies its three explicit rows: plucker answers
+        # (1^3) with 0, since the flow fixes the vacuum, and refuses (1^4)
         u = FramePoint.vacuum((-3, 3)).flow(times_flow(4, -3))
-        assert read_all(lambda: u.pluckers(LAMS)) == (
+        assert u.plucker((1, 1, 1)) == 0
+        assert read_all(lambda: u.plucker((1, 1, 1, 1))) == (
             WindowTooSmall, "frame holds 3 certified rows, need 4")
-        # a second flow drawing on the stand-in tail sets a data floor
-        v = u.flow(series({0: 1, 1: 2}))
-        assert read_all(lambda: v.pluckers(LAMS))[1].startswith("column ")
-        for w in (u, v):
-            assert_pluckers_are_minors(w, LAMS)
 
     def test_exact_frame_needs_no_arithmetic(self, monkeypatch):
         # a canonical frame is reduced and monic: the reduction returns its
@@ -732,17 +696,9 @@ class TestPluckers:
 
 class TestComplementOracle:
     @settings(max_examples=150)
-    @given(exact_points(), st.one_of(st.none(), rational_flows()))
-    def test_matches_nullspace_complement(self, u, g):
-        if g is not None:
-            u = u.flow(g)
-        try:
-            want = nullspace_complement(u)
-        except WindowTooSmall:
-            with pytest.raises(WindowTooSmall):
-                u.orthogonal()
-            return
-        got = u.orthogonal()
+    @given(exact_points())
+    def test_matches_nullspace_complement(self, u):
+        got, want = u.orthogonal(), nullspace_complement(u)
         assert (got.rows, got.pivots, got.tail_j, got.window, got.exact) == (
             want.rows, want.pivots, want.tail_j, want.window, want.exact)
 
@@ -765,12 +721,44 @@ class TestExactFramesReadNoWindow:
                         for w in ((-1, 1), (-64, 64)))
         assert answers(narrow) == answers(wide)
 
-    def test_approximate_frames_keep_the_refusal(self):
-        u = point_a(2, (-2, 2)).flow(series({0: 1, 1: 1, 2: 1}))
-        with pytest.raises(WindowTooSmall, match="below the window"):
-            u.orthogonal()
-        with pytest.raises(WindowTooSmall, match="below the window"):
-            nullspace_complement(u)
+
+# flow, the coordinates off one reduction, the complement and the membership
+# tests, each called as an exact frame's caller would: a flowed frame raises
+REFUSED = {
+    "flow": lambda u: u.flow(mono(1)),
+    "pluckers": lambda u: u.pluckers([Partition(())]),
+    "orthogonal": FramePoint.orthogonal,
+    "contains": lambda u: u.contains(ONE),
+    "is_sigma_invariant": FramePoint.is_sigma_invariant,
+    "same_subspace": lambda u: u.same_subspace(FramePoint.vacuum()),
+}
+
+
+@pytest.mark.parametrize("method", sorted(REFUSED))
+@settings(max_examples=30, deadline=None)
+@given(u=flowed_frames())
+# polynomial rows whose pivot is no unit; a complement whose tail would
+# start below the window; three certified rows; a row zero at its
+# declared pivot, (z^-1 - 1)(1 + z^-1) = z^-2 - 1
+@example(u=FramePoint.from_gens([series({-1: 1, 1: 2})], 1, (-16, 16))
+         .flow(times_flow(3, -8)))
+@example(u=point_a(2, (-2, 2)).flow(series({0: 1, 1: 1, 2: 1})))
+@example(u=FramePoint.vacuum((-3, 3)).flow(times_flow(4, -3)))
+@example(u=point_a(-1, (-4, 4)).flow(series({0: 1, -1: 1})))
+def test_flowed_frames_answer_only_their_coordinates(method, u):
+    """One flow of an exact frame is the one approximate frame: minor and
+    plucker read its explicit rows, and refuse more columns than those;
+    the computations in REFUSED refuse the frame."""
+    with pytest.raises(ZgrassError, match="exact frame"):
+        REFUSED[method](u)
+    m = len(u.rows)
+    for lam in LAMS:
+        if len(lam) <= m:
+            u.plucker(lam)
+        else:
+            with pytest.raises(WindowTooSmall, match="certified rows"):
+                u.plucker(lam)
+    assert u.minor(range(u.charge - 1, u.charge - 1 - m, -1)) == u.plucker(())
 
 
 class _ExactFalseCalls(ast.NodeVisitor):

@@ -161,7 +161,7 @@ def semigroup_curves(draw):
 
 
 def frame_fields(u):
-    return u.rows, u.pivots, u.tail_j, u.window, u.exact, u.row_floor
+    return u.rows, u.pivots, u.tail_j, u.window, u.exact
 
 
 class TestSpanClosureOracle:

@@ -1,4 +1,5 @@
 import pkgutil
+from itertools import combinations
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from sympy.polys.matrices import DomainMatrix
 import zgrass
 from zgrass.grassmann import FramePoint
 from zgrass.linalg import (
-    det_field, det_ring, det_unit, kernel, nullspace, rref,
+    det_field, det_ring, det_unit, kernel, nullspace, rref, unit_reduce,
 )
 from zgrass.series import LaurentSeries
 from zgrass.symfun import TimePolynomial, tconst, tvar
@@ -350,3 +351,21 @@ class TestOneElimination:
         rows = u.basis(n)
         mat = [[rows[i].coeffs.get(c, 0) for c in cols] for i in range(n)]
         assert u.minor(cols) == dividing_det(mat)
+
+
+class TestUnitReduce:
+    def test_non_unit_declared_pivot(self):
+        """The rows of (z^-1 - 1) over tail 1 flowed by 1 + z^-1 in the
+        window [-4, 4], with their declared pivots: z^-2 - 1 is zero at its
+        declared pivot -1, and z^-j (1 + z^-1) for j = 2..4 declare -j.
+        Each column falls back to the first unpivoted row with a unit there,
+        and every maximal minor is scale times the reduced one."""
+        rows = [{-2: 1, 0: -1}, {-2: 1, -3: 1}, {-3: 1, -4: 1},
+                {-4: 1, -5: 1}]
+        cols = range(-5, 1)
+        got, pivots, scale = unit_reduce(rows, cols, [-1, -2, -3, -4])
+        assert pivots == [-2, -3, -4, -5]
+        for picked in combinations(cols, len(rows)):
+            assert det_field([[r.get(c, 0) for c in picked]
+                              for r in rows]) == scale * det_field(
+                [[r.get(c, 0) for c in picked] for r in got])

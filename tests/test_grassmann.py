@@ -305,6 +305,14 @@ class TestOrthogonal:
         u = point_a(Fraction(5, 3))
         assert flipped(u.orthogonal()).same_subspace(u)
 
+    def test_polynomial_rows_are_refused(self):
+        # a flow by the universal unit has rows with polynomial
+        # coefficients, and a pivot without a constant term is no unit:
+        # the complement refuses the frame before any arithmetic on them
+        u = FramePoint.from_gens([series({-1: 1, 1: 2})], 1, (-16, 16))
+        with pytest.raises(ZgrassError, match="exact frame"):
+            u.flow(times_flow(3, -8)).orthogonal()
+
     def test_one_elimination_over_the_rows(self, monkeypatch):
         """The complement of a one-row point over tail 2000 is one echelon
         pass over its one row, not a second pass over 2000 generators."""
@@ -720,6 +728,14 @@ class TestExactFramesReadNoWindow:
         narrow, wide = (FramePoint(u.rows, u.pivots, u.tail_j, w)
                         for w in ((-1, 1), (-64, 64)))
         assert answers(narrow) == answers(wide)
+
+    def test_approximate_frames_keep_the_refusal(self):
+        """The complement of a flowed frame is refused under the window
+        its tail would start below, and under one wide enough to hold it."""
+        for w in ((-2, 2), (-64, 64)):
+            u = point_a(2, w).flow(series({0: 1, 1: 1, 2: 1}))
+            with pytest.raises(ZgrassError, match="exact frame"):
+                u.orthogonal()
 
 
 # flow, the coordinates off one reduction, the complement and the membership

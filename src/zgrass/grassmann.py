@@ -10,13 +10,14 @@ pivots are strictly decreasing and never dip below -tail_j, and the charge
 (the index of the point relative to the reference z^-1 k[z^-1]) is always
 len(rows) - tail_j.
 
-Exact points keep a canonical reduced frame: pivots are the row valuations,
-rows are monic at their pivot, supported above -tail_j, cross-reduced at each
-other's pivots, and trailing monomial rows are absorbed into the tail; they
-read no window.  Minors, Baker rows and stabilizer conditions all read
-FramePoint.basis: the explicit rows, then the tail monomials z^-(tail_j+1),
-z^-(tail_j+2), ....  FramePoint.plucker is the one coordinate, a minor of the
-basis; FramePoint.pluckers reads many off one reduction of the rows.
+An exact point is a canonical reduced frame, and the constructor refuses
+any other: pivots are the row valuations, rows are monic at their pivot,
+supported at or above -tail_j and zero at each other's pivots, and a trailing
+monomial row is absorbed into the tail.  Exact points read no window.
+Minors, Baker rows and stabilizer conditions all read FramePoint.basis: the
+explicit rows, then the tail monomials z^-(tail_j+1), z^-(tail_j+2), ....
+FramePoint.plucker is the one coordinate, a minor of the basis;
+FramePoint.pluckers reads many straight off the canonical rows.
 
 One flow of an exact point by a non-monomial unit gives the one
 window-approximate point (a flow is a time shift, Segal-Wilson 1985): its
@@ -47,7 +48,7 @@ from .errors import (
     ZeroInput,
     ZgrassError,
 )
-from .linalg import det_ring, det_unit, echelon, kernel, unit_reduce
+from .linalg import det_ring, det_unit, echelon, kernel
 from .series import LaurentSeries, pair_sigma
 from .symfun import Partition
 
@@ -83,9 +84,14 @@ def _chart_columns(lam, d, n):
 
 
 class FramePoint:
-    """A frame over a monomial tail.  exact is False only on a frame that
-    flow built from an exact one; window is the exponent range a flow writes
-    out, which `zgrass check` reports and no exact computation reads."""
+    """A frame over a monomial tail.  An exact frame is canonical, and the
+    constructor checks it in one pass over the rows: each row is monic at
+    its pivot and zero at every other pivot, and the last row is not the
+    monomial z^-tail_j (from_gens folds that row into the tail), so that
+    contains, same_subspace and pluckers may read the rows as they are.
+    exact is False only on a frame that flow built from an exact one;
+    window is the exponent range a flow writes out, which `zgrass check`
+    reports and no exact computation reads."""
 
     def __init__(
         self,
@@ -104,16 +110,26 @@ class FramePoint:
             raise ZgrassError("window must satisfy lo < hi")
         if len(self.rows) != len(self.pivots):
             raise IndexMismatch("one pivot per row")
+        pivs = set(self.pivots)
         for r, p in zip(self.rows, self.pivots):
             if not isinstance(r, LaurentSeries) or not r.exact:
                 raise ZgrassError("frame rows must be exact series")
             if exact and r.low != p:
                 raise IndexMismatch("an exact row's pivot is its valuation")
+            # a set lookup per exponent keeps the check linear in the rows:
+            # a complement can hold thousands of them
+            if exact and (not _is_unit_one(r.coeffs[p])
+                          or any(e in pivs for e in r.coeffs if e != p)):
+                raise IndexMismatch(
+                    "an exact row is monic at its pivot, zero at the others")
         for a, b in zip(self.pivots, self.pivots[1:]):
             if a <= b:
                 raise IndexMismatch("pivots must be strictly decreasing")
         if self.pivots and self.pivots[-1] < -tail_j:
             raise IndexMismatch("pivot below the tail boundary")
+        if (exact and self.pivots and self.pivots[-1] == -tail_j
+                and len(self.rows[-1].coeffs) == 1):
+            raise IndexMismatch("the monomial z^-tail_j belongs to the tail")
 
     # -- constructors --------------------------------------------------------
 
@@ -252,44 +268,37 @@ class FramePoint:
 
     def pluckers(self, lams):
         """The coordinates plucker(lam) of the partitions lams, in order,
-        read off one reduction of the rows of an exact frame.
+        read straight off the rows of an exact frame.
 
         A partition longer than the rows reads 0, since its last tail row
         meets none of its columns.  Every other minor samples the explicit
-        rows alone, at chart columns at or above -tail_j.  Cut to the
-        columns any of lams samples, the rows are reduced once
-        (linalg.unit_reduce), which scales each such minor by the product of
-        the pivots.  On the reduced rows a pivot column is a unit vector, so
-        the minor is the block of the rows whose pivot lam does not sample,
-        at lam's columns that are no pivot, signed by the matching of rows to
-        columns.  An exact frame is reduced and monic already: its reduction
-        does no arithmetic, and its blocks are at most Durfee-sized on the
-        big cell.  A flowed frame is refused; its one coordinate is plucker.
+        rows alone, at chart columns at or above -tail_j.  The rows are
+        canonical (the constructor checks it), so each pivot column is a
+        unit vector across them: the minor is the block of the rows whose
+        pivot lam does not sample, at lam's columns that are no pivot,
+        signed by the matching of rows to columns.  On the big cell the
+        blocks are at most Durfee-sized.  A flowed frame is refused; its one
+        coordinate is plucker.
         """
         if not self.exact:
             raise ZgrassError("Pluecker coordinates need an exact frame")
         m = len(self.rows)
-        charts = [None if len(lam) > m else
-                  _chart_columns(lam, self.charge, m) for lam in lams]
-        sampled = sorted({c for cols in charts if cols for c in cols})
-        rows, pivots, scale = unit_reduce([r.coeffs for r in self.rows],
-                                          sampled, self.pivots)
+        rows = [r.coeffs for r in self.rows]
         out = []
-        for cols in charts:
-            if cols is None:
+        for lam in lams:
+            if len(lam) > m:
                 out.append(Fraction(0))
                 continue
             # match row i to the position of its column in the minor: a
             # pivot row to its pivot, the others in order to what is left
+            cols = _chart_columns(lam, self.charge, m)
             pos = {c: k for k, c in enumerate(cols)}
-            match = [pos.pop(p) if p in pos else None for p in pivots]
+            match = [pos.pop(p) if p in pos else None for p in self.pivots]
             free = [i for i, k in enumerate(match) if k is None]
             v = _det([[rows[i].get(c, Fraction(0)) for c in pos]
                       for i in free])
             for i, k in zip(free, pos.values()):
                 match[i] = k
-            if v and scale != 1:
-                v = v * scale
             odd = sum(a > b for i, a in enumerate(match) for b in match[i + 1:])
             out.append(-v if odd % 2 else v)
         return out

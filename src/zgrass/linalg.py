@@ -8,10 +8,7 @@ over a field: it reduces sparse rows one at a time against a sparse echelon
 basis, since the systems it solves have many more rows than rank.  Frames
 (FramePoint.from_gens) and orbit profiles read their answers off it, and so
 does kernel, the sparse kernel of residue complements and stabilizers; rref
-and nullspace are their dense views.  unit_reduce is its column-by-column
-counterpart over coefficient rings, pivoting on units as det_unit does, that
-keeps the product of its pivots: FramePoint.pluckers reads a frame's
-coordinates off one such reduction.  Exactness is the point.
+and nullspace are their dense views.  Exactness is the point.
 """
 
 from bisect import insort
@@ -90,48 +87,6 @@ def det_unit(rows):
                 for c in range(col, n):
                     a[r][c] = a[r][c] - f * a[col][c]
     return det
-
-
-def unit_reduce(rows, cols, declared):
-    """Gauss-Jordan reduction of sparse rows on unit pivots, cut to cols.
-
-    Rows are dicts {column: value}; entries outside cols are dropped.  The
-    columns are taken in the given order.  Each pivots on the row that
-    declares it (declared[i] is row i's declared pivot column) when that
-    row's entry there is a unit (_is_unit), and else, as det_unit picks
-    pivots, on the first row not yet pivoted whose entry is one: that row is
-    made monic and the column is cleared from every other row.  A column
-    without such an entry is passed over, and a row may find no pivot at
-    all.  Returns (rows, pivots, scale): the reduced rows in input order,
-    each row's pivot column (None where it found none), and the product of
-    the pivots, so that every maximal minor of the input on columns among
-    cols is scale times the same minor of the output.
-    """
-    keep = set(cols)
-    rows = [{c: x for c, x in r.items() if c in keep} for r in rows]
-    pivots = [None] * len(rows)
-    owner = {c: i for i, c in enumerate(declared)}
-    scale = Fraction(1)
-    for c in cols:
-        free = [i for i, r in enumerate(rows)
-                if pivots[i] is None and _is_unit(r.get(c, 0))]
-        if not free:
-            continue
-        i = owner[c] if owner.get(c) in free else free[0]
-        p = rows[i][c]
-        if p != 1:
-            try:
-                inv = _inv_coeff(p)
-            except ZgrassError:
-                continue  # an exact polynomial unit has no polynomial inverse
-            scale = scale * p
-            rows[i] = {k: x * inv for k, x in rows[i].items()}
-        pivots[i] = c
-        for j, r in enumerate(rows):
-            f = r.get(c)
-            if f and j != i:
-                _axpy(r, -f, rows[i])
-    return rows, pivots, scale
 
 
 def _is_unit(x):

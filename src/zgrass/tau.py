@@ -50,7 +50,8 @@ def plucker_support(u, cap=None):
     A nonzero minor must match every implicit tail row with its own column
     and sample columns inside the row support, so the support lives in the
     box of at most len(rows) parts, each at most maxtop + 1 - charge,
-    enumerated only to weight cap, and read off one reduction (pluckers).
+    enumerated only to weight cap, and read straight off the canonical rows
+    (pluckers).
     """
     if not u.exact:
         raise ZgrassError("tau needs an exact frame")

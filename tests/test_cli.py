@@ -770,7 +770,7 @@ def test_work_bounded_by_the_weight_read(tmp_path, capsys, monkeypatch,
     """Tau is built only to the weight its caller reads (--weight, or
     3 * maxsize + 2 for the suite): however wide the support box, no Schur
     polynomial is formed and no coordinate evaluated for a partition past
-    that cap, whether one reduction reads it or a single minor."""
+    that cap, whether pluckers reads it or a single minor."""
     schurs, coords = [], []
     schur = symfun.schur
     plucker, pluckers = FramePoint.plucker, FramePoint.pluckers

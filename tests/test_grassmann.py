@@ -21,7 +21,6 @@ from zgrass.errors import (
 )
 from zgrass.grassmann import FramePoint, is_prym_flow
 from zgrass.krichever import stabilizer
-from zgrass.linalg import unit_reduce
 from zgrass.series import LaurentSeries, exp_floor, pair_sigma
 from zgrass.symfun import (
     Partition,
@@ -129,6 +128,15 @@ class TestFrames:
             FramePoint((ONE, LaurentSeries()), (0, -1), 1)
         with pytest.raises(IndexMismatch):
             FramePoint((mono(1),), (0,), 1)
+        # an exact frame is canonical: monic at each pivot, zero at the
+        # other pivots, and no trailing row z^-tail_j (that is the tail)
+        z = mono(1)
+        with pytest.raises(IndexMismatch):
+            FramePoint([z, ONE + z], [1, 0], 0)
+        with pytest.raises(IndexMismatch):
+            FramePoint([mono(0, 2)], [0], 0)
+        with pytest.raises(IndexMismatch):
+            FramePoint([mono(-1)], [-1], 1)
 
 
 class TestMembership:
@@ -628,7 +636,7 @@ def read_all(read):
 
 
 def assert_pluckers_are_minors(u, lams):
-    """One reduction reads what plucker reads, partition by partition."""
+    """The canonical rows read what plucker reads, partition by partition."""
     assert u.pluckers(lams) == [u.plucker(lam) for lam in lams]
 
 
@@ -669,8 +677,17 @@ class TestPluckers:
     @example(FramePoint.from_gens([ONE], 3))
     @example(FramePoint.from_gens([mono(-3), mono(0), mono(1)], 3))
     @example(FramePoint.from_gens([mono(2), mono(1), mono(0)], 0))
+    # polynomial coefficients: blocks without a unit pivot fall to det_ring
+    @example(point_a(tvar(1, "a")))
+    @example(FramePoint.from_gens(
+        [series({-2: 1, 0: tvar(1, "a"), 1: tvar(2, "b")}),
+         series({-1: 1, 1: tvar(1, "c")})], 2))
     def test_exact_frames(self, u):
-        assert_pluckers_are_minors(u, LAMS)
+        # LAMS, its reverse, and each partition alone: a list not closed
+        # under shrinking leaves some pivot columns unsampled, so rows meet
+        # the minor off their pivot
+        for lams in (LAMS, LAMS[::-1], *([lam] for lam in LAMS)):
+            assert_pluckers_are_minors(u, lams)
 
     def test_refusals(self):
         # a flowed frame certifies its three explicit rows: plucker answers
@@ -680,15 +697,12 @@ class TestPluckers:
         assert read_all(lambda: u.plucker((1, 1, 1, 1))) == (
             WindowTooSmall, "frame holds 3 certified rows, need 4")
 
-    def test_exact_frame_needs_no_arithmetic(self, monkeypatch):
-        # a canonical frame is reduced and monic: the reduction returns its
-        # rows, and on the big cell each block is Durfee-sized
+    def test_big_cell_blocks_are_durfee_sized(self, monkeypatch):
+        # a canonical frame's pivot columns are unit vectors: on the big
+        # cell each block is Durfee-sized
         u = FramePoint.from_gens(
             [series({-3: 1, 1: 2, 2: -1}), series({-2: 1, 0: 3, 3: 1}),
              series({-1: 1, 2: 1})], 3)
-        cols = range(-3, 4)
-        assert unit_reduce([r.coeffs for r in u.rows], cols, u.pivots) == (
-            [r.coeffs for r in u.rows], list(u.pivots), 1)
         sizes, det_unit = [], grassmann.det_unit
 
         def recording(rows):
@@ -738,8 +752,8 @@ class TestExactFramesReadNoWindow:
                 u.orthogonal()
 
 
-# flow, the coordinates off one reduction, the complement and the membership
-# tests, each called as an exact frame's caller would: a flowed frame raises
+# flow, the coordinates, the complement and the membership tests, each
+# called as an exact frame's caller would: a flowed frame raises
 REFUSED = {
     "flow": lambda u: u.flow(mono(1)),
     "pluckers": lambda u: u.pluckers([Partition(())]),

@@ -1,5 +1,7 @@
+import inspect
 import pkgutil
-from itertools import combinations
+import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,10 +11,10 @@ import sympy
 from sympy.polys.matrices import DomainMatrix
 
 import zgrass
+from zgrass import linalg
 from zgrass.grassmann import FramePoint
 from zgrass.linalg import (
-    det_field, det_ring, det_unit, kernel, nullspace, rref, unit_reduce,
-)
+    det_field, det_ring, det_unit, kernel, nullspace, rref)
 from zgrass.series import LaurentSeries
 from zgrass.symfun import TimePolynomial, tconst, tvar
 
@@ -275,6 +277,30 @@ def test_only_linalg_names_nullspace():
                 "linalg"]
 
 
+def test_every_linalg_function_has_a_reader():
+    """Every public function of zgrass.linalg is named by another zgrass
+    module or wrapped by the benchmark's tracer (perfbench/tracer.py): an
+    elimination that nothing reads leaves the library."""
+    src = Path(zgrass.__file__).parent
+    others = " ".join((src / f"{info.name}.py").read_text()
+                      for info in pkgutil.iter_modules(zgrass.__path__)
+                      if info.name != "linalg")
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        import tracer
+    finally:
+        sys.path.remove(perfbench)
+    traced = {path for module, path in tracer.TARGETS.values()
+              if module == "linalg"}
+    public = [name for name, f in inspect.getmembers(linalg,
+                                                     inspect.isfunction)
+              if f.__module__ == linalg.__name__ and not name.startswith("_")]
+    assert public
+    assert [name for name in public if name not in traced
+            and not re.search(rf"\b{name}\b", others)] == []
+
+
 def dividing_det(rows):
     """Gaussian elimination over Fraction dividing by each pivot: det_field
     before it became det_unit over Fraction; kept as an oracle."""
@@ -351,21 +377,3 @@ class TestOneElimination:
         rows = u.basis(n)
         mat = [[rows[i].coeffs.get(c, 0) for c in cols] for i in range(n)]
         assert u.minor(cols) == dividing_det(mat)
-
-
-class TestUnitReduce:
-    def test_non_unit_declared_pivot(self):
-        """The rows of (z^-1 - 1) over tail 1 flowed by 1 + z^-1 in the
-        window [-4, 4], with their declared pivots: z^-2 - 1 is zero at its
-        declared pivot -1, and z^-j (1 + z^-1) for j = 2..4 declare -j.
-        Each column falls back to the first unpivoted row with a unit there,
-        and every maximal minor is scale times the reduced one."""
-        rows = [{-2: 1, 0: -1}, {-2: 1, -3: 1}, {-3: 1, -4: 1},
-                {-4: 1, -5: 1}]
-        cols = range(-5, 1)
-        got, pivots, scale = unit_reduce(rows, cols, [-1, -2, -3, -4])
-        assert pivots == [-2, -3, -4, -5]
-        for picked in combinations(cols, len(rows)):
-            assert det_field([[r.get(c, 0) for c in picked]
-                              for r in rows]) == scale * det_field(
-                [[r.get(c, 0) for c in picked] for r in got])

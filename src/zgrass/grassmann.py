@@ -353,9 +353,10 @@ class FramePoint:
         charge minus the charge of the point; a flowed frame is refused.
         Every z^e below -1 - maxtop, maxtop the rows' top exponent, pairs to
         zero with the rows: that is its tail.  Above it, sum c_e z^e is
-        orthogonal when c_(-1-x), keyed by x, lies in the kernel of the rows
-        cut at the point's tail.  That kernel, one vector monic at each free
-        x ascending, read through e = -1 - x is already the canonical frame.
+        orthogonal when c_(-1-x), keyed by x, lies in the kernel of the rows.
+        The canonical rows are that kernel's reduced basis as they are, so
+        nothing is eliminated.  The kernel, one vector monic at each free x
+        ascending, read through e = -1 - x is already the canonical frame.
         Under the pairing twisted by the sign flip the complement is the
         flip of this one.
         """
@@ -363,9 +364,9 @@ class FramePoint:
             raise ZgrassError("complement needs an exact frame")
         maxtop = max((r.top for r in self.rows), default=-1 - self.tail_j)
         floor_e = -1 - maxtop
-        cut = [r.drop_below(-self.tail_j).coeffs for r in self.rows]
+        basis = dict(zip(self.pivots, (r.coeffs for r in self.rows)))
         rows = [LaurentSeries({-1 - x: c for x, c in v.items()})
-                for v in kernel(cut, range(-self.tail_j, maxtop + 1))]
+                for v in kernel(basis, range(-self.tail_j, maxtop + 1))]
         return FramePoint(rows, [r.low for r in rows], -floor_e, self.window)
 
     # -- the isotropic locus ----------------------------------------------------

@@ -147,9 +147,9 @@ def point_from_json(obj, window):
     if not isinstance(gens, list):
         raise ParseError("a point file needs a list of generators under 'gens'")
     tail = obj.get("tail")
-    # bounds the cost, with the exponents: at tail 4096 check takes 1.2 s
-    # (its complement's complement), 3 s on {0: 1, 4096: 1}, and baker and
-    # bilinear 0.2 s there (whole process, one Xeon core)
+    # bounds the cost, with the exponents: at tail 4096 check, baker and
+    # bilinear each take under 0.2 s, on {0: 1, 4096: 1} too (whole process,
+    # one Xeon core)
     if type(tail) is not int or not 0 <= tail <= 4096:
         raise ParseError(
             f"'tail' must be an integer between 0 and 4096, got {tail!r}")

@@ -200,7 +200,7 @@ def stabilizer(u, n):
         for ex in {ex for r in rems for ex in r.coeffs if ex >= -u.tail_j}:
             crows.append({e: r.coeffs[ex] for e, r in zip(exps, rems)
                           if ex in r.coeffs})
-    return [LaurentSeries(v) for v in kernel(crows, exps)]
+    return [LaurentSeries(v) for v in kernel(echelon(crows)[0], exps)]
 
 
 class OrbitProfile(NamedTuple):

@@ -6,8 +6,9 @@ rings without unit pivots.  _is_unit is the one pivot test, shared with the
 skew elimination of pfaffian.pfaffian.  echelon is the one row reduction
 over a field: it reduces sparse rows one at a time against a sparse echelon
 basis, since the systems it solves have many more rows than rank.  Frames
-(FramePoint.from_gens) and orbit profiles read their answers off it, and so
-does kernel, the sparse kernel of residue complements and stabilizers; rref
+(FramePoint.from_gens) and orbit profiles read their answers off it.
+kernel, the sparse kernel of residue complements and stabilizers, reads a
+reduced basis: echelon's, or a canonical frame's rows as they are.  rref
 and nullspace are their dense views.  Exactness is the point.
 """
 
@@ -98,16 +99,14 @@ def _is_unit(x):
     return hasattr(x, "constant_term") and x.constant_term() != 0
 
 
-def echelon(rows, ncols=None):
+def echelon(rows):
     """Reduced echelon basis of sparse rows, each a dict {key: value}.
 
     The one row reduction in zgrass.  Rows are reduced one at a time against
-    the pivots found so far; a row that keeps a nonzero entry below ncols
-    (at any key when ncols is None) joins the basis, monic at its smallest
-    such key, and the pass stops once ncols pivots are found.  The pivot
-    coefficient is inverted with series._inv_coeff, so any coefficient ring
-    whose pivots are units works.  Back-substitution then clears each pivot
-    from every other basis row.
+    the pivots found so far; one that keeps a nonzero entry joins the basis,
+    monic at its smallest key.  The pivot coefficient is inverted with
+    series._inv_coeff, so any coefficient ring whose pivots are units works.
+    Back-substitution then clears each pivot from every other basis row.
 
     Returns (basis, kept): basis maps each pivot to its row, and kept lists
     the indices of the input rows that added a pivot, in input order.
@@ -116,16 +115,14 @@ def echelon(rows, ncols=None):
     pivots = []
     kept = []
     for i, r in enumerate(rows):
-        if len(pivots) == ncols:
-            break
         v = dict(r)
         for p in pivots:
             f = v.get(p)
             if f:
                 _axpy(v, -f, basis[p])
-        lead = min((c for c in v if ncols is None or c < ncols), default=None)
-        if lead is None:
+        if not v:
             continue
+        lead = min(v)
         inv = _inv_coeff(v[lead])
         basis[lead] = {c: x * inv for c, x in v.items()}
         insort(pivots, lead)
@@ -144,14 +141,14 @@ def _sparse(rows):
     return ({c: Fraction(x) for c, x in enumerate(r) if x} for r in rows)
 
 
-def rref(rows, ncols=None):
+def rref(rows):
     """Reduced row echelon form over Fraction.  Returns (matrix, pivot_cols).
 
     A dense view of echelon: the matrix keeps the input's row count, the
     pivot rows in column order, then zero rows.
     """
     width = len(rows[0]) if rows else 0
-    basis, _ = echelon(_sparse(rows), width if ncols is None else ncols)
+    basis, _ = echelon(_sparse(rows))
     pivots = sorted(basis)
     zero = Fraction(0)
     a = [[basis[p].get(c, zero) for c in range(width)] for p in pivots]
@@ -170,20 +167,21 @@ def _axpy(v, f, w):
             v.pop(c, None)
 
 
-def kernel(rows, cols):
-    """Right kernel of sparse rows keyed by the ascending columns cols.
-
-    One echelon pass: the vector of each free column c, in the order of
-    cols, is sparse, 1 at c and -row[c] at each pivot whose row reaches c.
-    """
-    basis, _ = echelon(rows)
+def kernel(basis, cols):
+    """Right kernel of a reduced basis {pivot: row}, echelon's or a canonical
+    frame's rows as they are, over the ascending column keys cols.  One index
+    over the rows' entries makes the read linear: the vector of each free
+    column c is 1 at c, then -row[c] at each pivot whose row reaches c."""
+    reach = {}
+    for p, row in basis.items():
+        for c, x in row.items():
+            reach.setdefault(c, {})[p] = -x
     one = Fraction(1)
-    return [{c: one, **{p: -row[c] for p, row in basis.items() if c in row}}
-            for c in cols if c not in basis]
+    return [{c: one, **reach.get(c, {})} for c in cols if c not in basis]
 
 
 def nullspace(rows, ncols):
     """Dense view of kernel: one list per free column of the matrix."""
     zero = Fraction(0)
     return [[v.get(c, zero) for c in range(ncols)]
-            for v in kernel(_sparse(rows), range(ncols))]
+            for v in kernel(echelon(_sparse(rows))[0], range(ncols))]

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import zgrass
-from frame_oracles import flowed_tau
+from frame_oracles import echelon_calls, flowed_tau
 from zgrass import __version__, cli, hierarchy, krichever, symfun, tau
 from zgrass.cli import main
 from zgrass.errors import ParseError
@@ -96,16 +96,23 @@ class TestFractions:
 
 
 class TestCheck:
-    @pytest.mark.parametrize("obj", [
-        dict(PENCIL, gens=[{"-1": "1", "0": "2"}], tail=9),
-        dict(THREE_ROW, tail=4096, window=[-64, 64]),
-    ], ids=["one-row-tail9", "three-row-tail4096"])
-    def test_exact_complement_reads_no_window(self, tmp_path, capsys, obj):
+    @pytest.mark.parametrize("obj, passes", [
+        (dict(PENCIL, gens=[{"-1": "1", "0": "2"}], tail=9), [1]),
+        (dict(THREE_ROW, tail=4096, window=[-64, 64]), [3]),
+        (dict(PENCIL, gens=[{"0": "1", "4096": "1"}], tail=4096,
+              window=[-64, 64]), [1]),
+    ], ids=["one-row-tail9", "three-row-tail4096", "one-row-top4096"])
+    def test_exact_complement_reads_no_window(self, tmp_path, capsys,
+                                              monkeypatch, obj, passes):
         """The complement's complement reaches below the file window; an
-        exact point's complement reads no window."""
+        exact point's complement reads no window.  The whole check makes one
+        echelon pass, over the point's own generators: neither complement
+        eliminates."""
+        calls = echelon_calls(monkeypatch)
         code, rep = run(tmp_path, obj, "check", capsys=capsys)
         assert code == 0 and names(rep, "pass") == ["dual-charge",
                                                     "biduality"]
+        assert calls == passes
 
     def test_cusp_point(self, tmp_path, capsys):
         code, rep = run(tmp_path, CUSP, "check", capsys=capsys)

@@ -21,6 +21,7 @@ from zgrass.errors import (
 )
 from zgrass.grassmann import FramePoint, is_prym_flow
 from zgrass.krichever import stabilizer
+from zgrass.linalg import echelon
 from zgrass.series import LaurentSeries, exp_floor, pair_sigma
 from zgrass.symfun import (
     Partition,
@@ -321,13 +322,13 @@ class TestOrthogonal:
         with pytest.raises(ZgrassError, match="exact frame"):
             u.flow(times_flow(3, -8)).orthogonal()
 
-    def test_one_elimination_over_the_rows(self, monkeypatch):
-        """The complement of a one-row point over tail 2000 is one echelon
-        pass over its one row, not a second pass over 2000 generators."""
+    def test_complement_runs_no_elimination(self, monkeypatch):
+        """The complement of a one-row point over tail 2000 reads the
+        canonical row as it is: no echelon pass, not even over that row."""
         u = FramePoint.from_gens([series({-1: 1, 0: 2})], 2000)
         calls = echelon_calls(monkeypatch)
         perp = u.orthogonal()
-        assert calls == [len(u.rows)]
+        assert calls == []
         assert perp.tail_j == 1 and perp.charge == -u.charge == 1999
 
 
@@ -717,6 +718,15 @@ class TestPluckers:
 
 
 class TestComplementOracle:
+    @settings(max_examples=150)
+    @given(exact_points())
+    def test_echelon_keeps_canonical_rows(self, u):
+        # orthogonal hands kernel the rows as they are: they are already
+        # the reduced basis echelon would return
+        coeffs = [r.coeffs for r in u.rows]
+        assert echelon(coeffs) == (dict(zip(u.pivots, coeffs)),
+                                   list(range(len(u.rows))))
+
     @settings(max_examples=150)
     @given(exact_points())
     def test_matches_nullspace_complement(self, u):

@@ -14,7 +14,7 @@ import zgrass
 from zgrass import linalg
 from zgrass.grassmann import FramePoint
 from zgrass.linalg import (
-    det_field, det_ring, det_unit, kernel, nullspace, rref)
+    det_field, det_ring, det_unit, echelon, kernel, nullspace, rref)
 from zgrass.series import LaurentSeries
 from zgrass.symfun import TimePolynomial, tconst, tvar
 
@@ -217,11 +217,10 @@ def degenerate_matrices(draw):
 
 class TestSparseRref:
     @settings(max_examples=200)
-    @given(degenerate_matrices(), st.booleans())
-    def test_matches_dense_oracle(self, drawn, pass_ncols):
-        rows, ncols = drawn
-        arg = ncols if pass_ncols else None
-        assert rref(rows, arg) == dense_rref(rows, arg)
+    @given(degenerate_matrices())
+    def test_matches_dense_oracle(self, drawn):
+        rows, _ = drawn
+        assert rref(rows) == dense_rref(rows)
 
 
 def dense_nullspace(rows, ncols):
@@ -264,7 +263,8 @@ class TestNullspaceOracle:
                   for r in rows]
         want = [{c + shift: x for c, x in enumerate(v) if x}
                 for v in dense_nullspace(rows, ncols)]
-        assert kernel(sparse, range(shift, ncols + shift)) == want
+        basis, _ = echelon(sparse)
+        assert kernel(basis, range(shift, ncols + shift)) == want
 
 
 def test_only_linalg_names_nullspace():

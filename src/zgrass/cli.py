@@ -306,10 +306,10 @@ _COMMANDS = {
 # checked in this order.  They bound every request's cost, which grows
 # steeply past them (one Xeon core): bilinear on the 3-row point takes 2 s
 # at weight 24 and 18 s at 32; each maxsize step costs about four times the
-# last, seconds and megabytes at 6; orbit on <3,4,5> takes 1.3 s at nmax 64
-# and 4 s at 96; the window bounds curve spans alone: orbit on the ring of
-# z^-1..z^-4 takes 0.85 s at radius 64, its span 11 s at 128 (io bounds
-# file windows alike)
+# last, seconds and megabytes at 6; orbit at nmax 64 takes 1.8 s on a 4-row
+# big-cell point and 3.1 s on an 8-row one; the window bounds curve spans
+# alone: orbit on the ring of z^-1..z^-4 takes 0.55 s at radius 64, its span
+# 6.8 s at 128 (io bounds file windows alike)
 _OPTIONS = {
     "weight": (8, (0, 24), "W", "weight bound for series and polynomials"),
     "maxsize": (4, (0, 6), "N", "largest diagram weight in the suite"),

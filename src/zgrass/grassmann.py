@@ -25,10 +25,11 @@ rows are verbatim products (not re-normalized -- minor values along an orbit
 must pull back unscaled), its declared pivots are bookkeeping, and the
 window (lo, hi), an inclusive exponent range, bounds the tail the flow
 writes out.  minor and plucker read its explicit rows alone; flow,
-pluckers, orthogonal and the membership tests refuse it.  No command builds
-one: it stays for the benchmark's answer check (perfbench/workloads.py,
-_check_tau), the vacuum minor of an exact point flowed once by the
-universal exponential cut at its window floor (tau.times_flow).
+pluckers, orthogonal, reduce and the membership tests refuse it.  No
+command builds one: it stays for the benchmark's answer check
+(perfbench/workloads.py, _check_tau), the vacuum minor of an exact point
+flowed once by the universal exponential cut at its window floor
+(tau.times_flow).
 
 The one involution frames know is the sign flip z -> -z (LaurentSeries.flip):
 it maps monomials to monomials, so isotropy and invariance stay exact, and the
@@ -42,6 +43,7 @@ from typing import NamedTuple
 from .errors import (
     DependentGenerators,
     IndexMismatch,
+    InsufficientPrecision,
     NonzeroIndex,
     NotSigmaInvariant,
     WindowTooSmall,
@@ -196,17 +198,21 @@ class FramePoint:
     # -- membership ----------------------------------------------------------
 
     def reduce(self, f):
-        """Remainder of f after clearing the pivot coefficients of every row.
+        """Remainder of f after clearing its coefficient at every pivot.
 
-        The visible part of the remainder (exponents above the tail) is what
-        obstructs membership.
+        An exact frame's rows are zero at each other's pivots, so one pass
+        over f's keys subtracts f[p] * row_p for each pivot p among them; a
+        flowed frame's are not, and it is refused.  A truncated f unknown at
+        the top pivot raises InsufficientPrecision.  The visible part of the
+        remainder (exponents above the tail) is what obstructs membership.
         """
-        r = f
-        for row, p in zip(self.rows, self.pivots):
-            c = r.coeff(p)
-            if c:
-                r = r - row * c
-        return r
+        if not self.exact:
+            raise ZgrassError("reduction needs an exact frame")
+        if f.trunc is not None and self.pivots and self.pivots[0] >= f.trunc:
+            raise InsufficientPrecision(f"coefficient at {self.pivots[0]} not "
+                                        f"known (truncated at {f.trunc})")
+        rows = dict(zip(self.pivots, self.rows))
+        return sum((rows[p] * -c for p, c in f.coeffs.items() if p in rows), f)
 
     def contains(self, f):
         """Whether the exact series f lies in the subspace of an exact frame.
@@ -214,8 +220,6 @@ class FramePoint:
         A truncated f is refused: its unknown part lies at or above its
         truncation, above the tail, where it decides membership.
         """
-        if not self.exact:
-            raise ZgrassError("membership test needs an exact frame")
         if not isinstance(f, LaurentSeries) or not f.exact:
             raise ZgrassError("membership test needs an exact series")
         r = self.reduce(f)

@@ -4,15 +4,15 @@ Matrices are plain lists of lists.  det_unit is the one Gaussian
 elimination (det_field is det_unit over Fraction); det_ring expands, over
 rings without unit pivots.  _is_unit is the one pivot test, shared with the
 skew elimination of pfaffian.pfaffian.  echelon is the one row reduction
-over a field: it reduces sparse rows one at a time against a sparse echelon
-basis, since the systems it solves have many more rows than rank.  Frames
-(FramePoint.from_gens) and orbit profiles read their answers off it.
+over a field: it reads sparse rows one at a time, each in one pass over its
+own keys against a basis it keeps reduced, since the systems it solves have
+many more rows than rank.  Frames and orbit profiles read their answers off
+it.
 kernel, the sparse kernel of residue complements and stabilizers, reads a
 reduced basis: echelon's, or a canonical frame's rows as they are.  rref
 and nullspace are their dense views.  Exactness is the point.
 """
 
-from bisect import insort
 from fractions import Fraction
 
 from .errors import ZgrassError
@@ -102,37 +102,33 @@ def _is_unit(x):
 def echelon(rows):
     """Reduced echelon basis of sparse rows, each a dict {key: value}.
 
-    The one row reduction in zgrass.  Rows are reduced one at a time against
-    the pivots found so far; one that keeps a nonzero entry joins the basis,
-    monic at its smallest key.  The pivot coefficient is inverted with
-    series._inv_coeff, so any coefficient ring whose pivots are units works.
-    Back-substitution then clears each pivot from every other basis row.
+    The one row reduction in zgrass.  The basis stays reduced as it grows, so
+    a row is reduced in one pass over its own keys: v[p] * basis[p] off for
+    each pivot p among them.  A row that keeps a nonzero entry joins, monic
+    at its smallest key (inverted with series._inv_coeff, so any ring whose
+    pivots are units works), and that key is cleared from the other rows.
 
-    Returns (basis, kept): basis maps each pivot to its row, and kept lists
-    the indices of the input rows that added a pivot, in input order.
+    Returns (basis, kept): basis maps each pivot to its row, in the order the
+    pivots were found, and kept lists the indices of the input rows that
+    added a pivot, in input order.
     """
     basis = {}
-    pivots = []
     kept = []
     for i, r in enumerate(rows):
         v = dict(r)
-        for p in pivots:
-            f = v.get(p)
-            if f:
-                _axpy(v, -f, basis[p])
+        for p in [p for p in v if p in basis]:
+            _axpy(v, -v[p], basis[p])
         if not v:
             continue
         lead = min(v)
         inv = _inv_coeff(v[lead])
-        basis[lead] = {c: x * inv for c, x in v.items()}
-        insort(pivots, lead)
-        kept.append(i)
-    for i in range(len(pivots) - 2, -1, -1):
-        row = basis[pivots[i]]
-        for q in pivots[i + 1 :]:
-            f = row.get(q)
+        row = {c: x * inv for c, x in v.items()}
+        for other in basis.values():
+            f = other.get(lead)
             if f:
-                _axpy(row, -f, basis[q])
+                _axpy(other, -f, row)
+        basis[lead] = row
+        kept.append(i)
     return basis, kept
 
 

@@ -166,12 +166,6 @@ def taubar(tau, weight):
 # -- Baker series and bilinear residuals --------------------------------------
 
 
-def _basis(u, count):
-    if not u.exact:
-        raise ZgrassError("residual pairings need exact frames on both sides")
-    return u.basis(count)
-
-
 def baker(u, weight):
     """Baker series of the point, as (basis row, polynomial block) pairs.
 
@@ -181,7 +175,9 @@ def baker(u, weight):
     the weight are homogeneous of too-high weight and are omitted.  The full
     object is psi(z, t) = z * sum_i row_i(z) * block_i(t).
     """
-    rows = _basis(u, weight)
+    if not u.exact:
+        raise ZgrassError("Baker series needs an exact frame")
+    rows = u.basis(weight)
     return tuple(
         (rows[i], schur_p(i + 1).with_cap(weight)) for i in range(weight)
     )
@@ -200,8 +196,8 @@ def baker_residual_matrices(u, count=None):
     w = u.orthogonal()
     if count is None:
         count = len(u.rows) + 2
-    ub = _basis(u, count)
-    wb = _basis(w, count)
+    ub = u.basis(count)
+    wb = w.basis(count)
     first = [[pair_std(a, b) for b in wb] for a in ub]
     second = [[-pair_std(fa, b) for b in wb] for fa in [a.flip() for a in ub]]
     return first, second

@@ -7,7 +7,11 @@ through them, and gram_pfaffian is the Pfaffian of the Gram matrix
 gram_matrix.  flipped is the image of a point under the sign flip, and
 evaluate reads a time polynomial at rational times.  nullspace_complement is
 the residue complement by a dense nullspace and a second elimination, and
-echelon_calls counts the rows of every echelon pass.  prym_flow_full is the
+echelon_calls counts the rows of every echelon pass, axpy_entries the row
+entries the sparse row update touches and coeff_reads the single-coefficient
+reads of series.  two_pass_echelon is linalg.echelon as it was before it
+kept its basis reduced, and row_by_row_reduce FramePoint.reduce before it
+read a canonical frame by the series' keys.  prym_flow_full is the
 Prym-flow test on the whole product g(z) g(-z).  flow_exponential and
 flowed_tau flow a point by a family's exponential, the route `zgrass
 family-square` took before it read flows as time shifts; flowed_frame_tau
@@ -22,16 +26,18 @@ TimePolynomial.differentiate.
 """
 
 import importlib
+from bisect import insort
 from fractions import Fraction
 from itertools import product
 from math import comb, factorial, prod
 from typing import NamedTuple
 
+from zgrass import linalg
 from zgrass.errors import InsufficientPrecision, ZgrassError
 from zgrass.grassmann import DEFAULT_WINDOW, FramePoint, _chart_columns
 from zgrass.linalg import det_field, echelon, nullspace
 from zgrass.pfaffian import pfaffian
-from zgrass.series import LaurentSeries, exp_floor, pair_sigma
+from zgrass.series import LaurentSeries, _inv_coeff, exp_floor, pair_sigma
 from zgrass.symfun import (
     Partition,
     TimePolynomial,
@@ -157,6 +163,75 @@ def echelon_calls(monkeypatch):
         if hasattr(mod, "echelon"):
             monkeypatch.setattr(mod, "echelon", counting)
     return calls
+
+
+def axpy_entries(monkeypatch):
+    """Count the row entries linalg._axpy touches, one per entry of the row
+    it adds; returns the one-element list that holds the count."""
+    count = [0]
+    axpy = linalg._axpy
+
+    def counting(v, f, w):
+        count[0] += len(w)
+        return axpy(v, f, w)
+
+    monkeypatch.setattr(linalg, "_axpy", counting)
+    return count
+
+
+def coeff_reads(monkeypatch):
+    """Record the exponent of every LaurentSeries.coeff read; returns the
+    list the reads append to."""
+    reads = []
+    coeff = LaurentSeries.coeff
+
+    def counting(self, e):
+        reads.append(e)
+        return coeff(self, e)
+
+    monkeypatch.setattr(LaurentSeries, "coeff", counting)
+    return reads
+
+
+def two_pass_echelon(rows):
+    """linalg.echelon as it was before it kept its basis reduced as it
+    grew: each row reduced against every pivot found so far, in pivot order,
+    then one back-substitution pass; kept as an oracle."""
+    basis = {}
+    pivots = []
+    kept = []
+    for i, r in enumerate(rows):
+        v = dict(r)
+        for p in pivots:
+            f = v.get(p)
+            if f:
+                linalg._axpy(v, -f, basis[p])
+        if not v:
+            continue
+        lead = min(v)
+        inv = _inv_coeff(v[lead])
+        basis[lead] = {c: x * inv for c, x in v.items()}
+        insort(pivots, lead)
+        kept.append(i)
+    for i in range(len(pivots) - 2, -1, -1):
+        row = basis[pivots[i]]
+        for q in pivots[i + 1:]:
+            f = row.get(q)
+            if f:
+                linalg._axpy(row, -f, basis[q])
+    return basis, kept
+
+
+def row_by_row_reduce(u, f):
+    """FramePoint.reduce as it was before it read a canonical frame by the
+    series' own keys: one coefficient read per row, in row order; kept as
+    an oracle."""
+    r = f
+    for row, p in zip(u.rows, u.pivots):
+        c = r.coeff(p)
+        if c:
+            r = r - row * c
+    return r
 
 
 def evaluate(poly, assign):

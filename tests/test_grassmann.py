@@ -13,6 +13,7 @@ from zgrass import grassmann
 from zgrass.errors import (
     DependentGenerators,
     IndexMismatch,
+    InsufficientPrecision,
     NonzeroIndex,
     NotSigmaInvariant,
     WindowTooSmall,
@@ -32,16 +33,18 @@ from zgrass.symfun import (
     tconst,
     tvar,
 )
-from zgrass.tau import tau_flow_consistency, tau_function, times_flow
+from zgrass.tau import baker, tau_flow_consistency, tau_function, times_flow
 
 from frame_oracles import (
     assemble_even_odd,
+    coeff_reads,
     coset_reps,
     echelon_calls,
     exchange_defect,
     flipped,
     nullspace_complement,
     prym_flow_full,
+    row_by_row_reduce,
 )
 
 ONE = LaurentSeries.one()
@@ -156,6 +159,33 @@ class TestMembership:
                      (cusp(), LaurentSeries({0: 1}, trunc=5))):
             with pytest.raises(ZgrassError, match="exact series"):
                 u.contains(f)
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_reduce_matches_row_loop(self, data):
+        """One pass over f's keys leaves the remainder the row loop
+        leaves, and refuses a truncated f at the same truncations, those at
+        or below the largest pivot, with the same message."""
+        u = data.draw(exact_points())
+        f = LaurentSeries(data.draw(st.dictionaries(
+            st.integers(-6, 4), st.integers(-3, 3), max_size=6)),
+            data.draw(st.one_of(st.none(), st.integers(-4, 4))))
+        def outcome(reduce):
+            try:
+                return reduce(u, f)
+            except InsufficientPrecision as exc:
+                return type(exc), str(exc)
+
+        assert outcome(FramePoint.reduce) == outcome(row_by_row_reduce)
+
+    def test_reduce_reads_no_row(self, monkeypatch):
+        """A monomial reduced against 400 canonical rows z^-2k + z^(2k-1)
+        reads no coefficient row by row: it meets one pivot, by its key."""
+        u = FramePoint.from_gens(
+            [series({-2 * k: 1, 2 * k - 1: 1}) for k in range(1, 401)], 800)
+        reads = coeff_reads(monkeypatch)
+        assert u.reduce(mono(-2)) == series({1: -1})
+        assert reads == []
 
     def test_same_subspace(self):
         a = cusp()
@@ -762,7 +792,8 @@ class TestExactFramesReadNoWindow:
                 u.orthogonal()
 
 
-# flow, the coordinates, the complement and the membership tests, each
+# flow, the coordinates, the complement, the membership tests, the
+# reduction and the stabilizer and Baker rows that read the basis, each
 # called as an exact frame's caller would: a flowed frame raises
 REFUSED = {
     "flow": lambda u: u.flow(mono(1)),
@@ -771,6 +802,9 @@ REFUSED = {
     "contains": lambda u: u.contains(ONE),
     "is_sigma_invariant": FramePoint.is_sigma_invariant,
     "same_subspace": lambda u: u.same_subspace(FramePoint.vacuum()),
+    "reduce": lambda u: u.reduce(ONE),
+    "stabilizer": lambda u: stabilizer(u, 1),
+    "baker": lambda u: baker(u, 2),
 }
 
 

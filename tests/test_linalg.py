@@ -12,11 +12,14 @@ from sympy.polys.matrices import DomainMatrix
 
 import zgrass
 from zgrass import linalg
+from zgrass.errors import ZgrassError
 from zgrass.grassmann import FramePoint
 from zgrass.linalg import (
     det_field, det_ring, det_unit, echelon, kernel, nullspace, rref)
 from zgrass.series import LaurentSeries
 from zgrass.symfun import TimePolynomial, tconst, tvar
+
+from frame_oracles import two_pass_echelon
 
 
 class TestDeterminants:
@@ -221,6 +224,63 @@ class TestSparseRref:
     def test_matches_dense_oracle(self, drawn):
         rows, _ = drawn
         assert rref(rows) == dense_rref(rows)
+
+
+def _poly(a, b, c):
+    return (tconst(a) + tvar(1) * b + tvar(2) * c).with_cap(2)
+
+
+@st.composite
+def tall_sparse_rows(draw):
+    """Up to 24 sparse rows over the keys -3..3, keys in any order, with
+    combinations of earlier rows put in: many more rows than their rank of
+    at most 7.  The entries are all rational, or all polynomials a + b t1 +
+    c t2 capped at weight 2, whose lead is no unit where a is 0."""
+    if draw(st.booleans()):
+        entry = st.fractions(-3, 3, max_denominator=4).filter(bool)
+    else:
+        small = st.integers(-2, 2)
+        entry = st.builds(_poly, small, small, small).filter(bool)
+    rows = draw(st.lists(st.dictionaries(st.integers(-3, 3), entry,
+                                         max_size=5), max_size=16))
+    scalars = st.fractions(-2, 2, max_denominator=3)
+    for _ in range(draw(st.integers(0, 8))):
+        if not rows:
+            break
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        s, t = draw(scalars), draw(scalars)
+        new = {k: y for k in {**b, **a}
+               if (y := s * a.get(k, 0) + t * b.get(k, 0))}
+        rows.insert(draw(st.integers(0, len(rows))), new)
+    return rows
+
+
+def _ordered_echelon(echelon_route, rows):
+    """(basis items in insertion order, kept), or the type and message of
+    the refusal of a lead that is no unit."""
+    try:
+        basis, kept = echelon_route(rows)
+    except ZgrassError as exc:
+        return type(exc), str(exc)
+    return list(basis.items()), kept
+
+
+T1 = tvar(1).with_cap(2)
+ONE2 = tconst(1).with_cap(2)
+
+
+class TestEchelonOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(tall_sparse_rows())
+    # a lead that is no unit, at once and after a reduction
+    @example([{0: T1}])
+    @example([{1: ONE2, 0: ONE2}, {0: ONE2, 1: ONE2 + T1}])
+    def test_matches_two_pass(self, rows):
+        """The basis kept reduced as it grows is the two-pass elimination's
+        row for row, in the same insertion order, with the same kept rows;
+        a lead that is no unit is refused alike."""
+        assert _ordered_echelon(echelon, rows) == _ordered_echelon(
+            two_pass_echelon, rows)
 
 
 def dense_nullspace(rows, ncols):
